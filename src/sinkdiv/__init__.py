@@ -7,7 +7,6 @@ into equal-weight point clouds.
 
 from .discrepancy import (
     DiscrepancyResult,
-    SpectralKernel,
     discrepancy,
     fourier_coefficients,
     halftoning_energy,
@@ -35,6 +34,7 @@ from .kernels import (
     PowerDistance,
     ShiftedNegativeDistance,
     SmoothedNegativeDistance,
+    SpectralKernel,
     WendlandPower,
     cost_from_spec,
     empirical_pd_check,

@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .divergence import epsilon_sweep, s_infinity, sinkhorn_divergence, witness_
 from .errors import ConfigError, SinkdivError
 from .exact_ot import exact_ot
 from .fileio import atomic_write_text
-from .kernels import NegatedKernel, cost_from_spec, kernel_from_spec
+from .kernels import NegatedKernel, cost_from_spec, kernel_for_cost, kernel_from_spec
 from .measures import BoundingBox, load_measure, save_potential
 from .sinkhorn import SinkhornConfig, extend_potentials, ot_infinity, solve
 
@@ -99,26 +100,52 @@ def _box_from(config) -> BoundingBox:
         raise ConfigError(f"invalid box: {exc}") from exc
 
 
+def _coerce(key: str, value, kind: type):
+    """value as an instance of kind (bool, int or float); ConfigError naming key otherwise."""
+    if kind is bool:
+        if isinstance(value, bool):
+            return value
+        raise ConfigError(f"invalid {key!r}: {value!r} is not true or false")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid {key!r}: {value!r} is not {kind.__name__}") from exc
+
+
 def _epsilon_from(config, key="epsilon") -> float:
     raw = _require(config, key)
     if raw == "inf":
         return math.inf
-    try:
-        value = float(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {key!r}: {raw!r}") from exc
-    if value <= 0:
+    value = _coerce(key, raw, float)
+    if not value > 0:
         raise ConfigError(f"{key!r} must be positive")
     return value
 
 
-def _sinkhorn_config(config, epsilon) -> SinkhornConfig:
-    return SinkhornConfig(
-        epsilon=epsilon,
-        max_iter=int(config.get("max_iter", 10_000)),
-        tol=float(config.get("tol", 1e-10)),
-        normalize=bool(config.get("normalize", True)),
-    )
+def _dataclass_config(cls, config: dict, **given):
+    """cls(**given) plus the config keys that name its other fields.
+
+    Only keys present in the config are passed, each coerced to the type of
+    its field's default, so the defaults live only in the dataclass. A value
+    the dataclass rejects becomes a ConfigError; its message names the field.
+    """
+    kwargs = dict(given)
+    for f in fields(cls):
+        if f.name not in given and f.name in config:
+            kwargs[f.name] = _coerce(f.name, config[f.name], type(f.default))
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid config: {exc}") from exc
+
+
+def _from_spec(config, key: str, build, box: BoundingBox):
+    """Kernel or cost built from the config entry `key`; a bad spec names the key."""
+    spec = _require(config, key)
+    try:
+        return build(spec, box)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {key!r}: {exc!r}") from exc
 
 
 def _emit_json(config, payload: dict):
@@ -141,16 +168,16 @@ def cmd_compute(config: dict, allow_partial: bool) -> int:
 
     status = 0
     if kind == "discrepancy":
-        kernel = kernel_from_spec(_require(config, "kernel"), box)
+        kernel = _from_spec(config, "kernel", kernel_from_spec, box)
         result = discrepancy(kernel, mu, nu)
         value = result.value
-        diagnostics = {"squared": result.squared, "witness_norm": result.witness_norm}
+        diagnostics = {"squared": result.squared}
     elif kind == "s_inf":
-        kernel = kernel_from_spec(_require(config, "kernel"), box)
+        kernel = _from_spec(config, "kernel", kernel_from_spec, box)
         value = s_infinity(NegatedKernel(kernel), mu, nu)
         diagnostics = {"d_squared": 2.0 * value}
     elif kind == "ot_exact":
-        cost = cost_from_spec(_require(config, "cost"), box)
+        cost = _from_spec(config, "cost", cost_from_spec, box)
         result = exact_ot(cost, mu, nu)
         diagnostics = {
             "dual_value": result.dual_value,
@@ -158,8 +185,8 @@ def cmd_compute(config: dict, allow_partial: bool) -> int:
         }
         value = result.value
     elif kind == "ot_eps":
-        cost = cost_from_spec(_require(config, "cost"), box)
-        cfg = _sinkhorn_config(config, _epsilon_from(config))
+        cost = _from_spec(config, "cost", cost_from_spec, box)
+        cfg = _dataclass_config(SinkhornConfig, config, epsilon=_epsilon_from(config))
         solution = solve(cost, mu, nu, cfg)
         value = solution.value
         diagnostics = dict(solution.diagnostics())
@@ -167,8 +194,8 @@ def cmd_compute(config: dict, allow_partial: bool) -> int:
         if not solution.converged and not allow_partial:
             status = 2
     else:  # s_eps
-        cost = cost_from_spec(_require(config, "cost"), box)
-        cfg = _sinkhorn_config(config, _epsilon_from(config))
+        cost = _from_spec(config, "cost", cost_from_spec, box)
+        cfg = _dataclass_config(SinkhornConfig, config, epsilon=_epsilon_from(config))
         result = sinkhorn_divergence(cost, mu, nu, cfg)
         value = result.s_eps
         diagnostics = {
@@ -190,9 +217,9 @@ def cmd_sweep(config: dict, allow_partial: bool) -> int:
     box = _box_from(config)
     mu = load_measure(_require(config, "mu"))
     nu = load_measure(_require(config, "nu"))
-    cost = cost_from_spec(_require(config, "cost"), box)
+    cost = _from_spec(config, "cost", cost_from_spec, box)
     epsilons = config.get("epsilons")
-    cfg = _sinkhorn_config(config, 1.0)
+    cfg = _dataclass_config(SinkhornConfig, config, epsilon=1.0)
     records = epsilon_sweep(cost, mu, nu, epsilons=epsilons, cfg=cfg)
     write_sweep_csv(_require(config, "output"), records)
     if any(not r.converged for r in records) and not allow_partial:
@@ -204,20 +231,13 @@ def cmd_dither(config: dict, allow_partial: bool) -> int:
     _validate_keys("dither", config)
     box = _box_from(config)
     target = load_measure(_require(config, "target"))
-    cost = cost_from_spec(_require(config, "cost"), box)
-    cfg = DitherConfig(
-        M=int(_require(config, "M")),
+    cost = _from_spec(config, "cost", cost_from_spec, box)
+    cfg = _dataclass_config(
+        DitherConfig,
+        config,
+        M=_coerce("M", _require(config, "M"), int),
         epsilon=_epsilon_from(config),
         cost=cost,
-        max_outer_iter=int(config.get("max_outer_iter", 500)),
-        grad_tol=float(config.get("grad_tol", 1e-6)),
-        initial_step=float(config.get("initial_step", 1.0)),
-        backtrack=float(config.get("backtrack", 0.5)),
-        sufficient_decrease=float(config.get("sufficient_decrease", 1e-4)),
-        seed=int(config.get("seed", 0)),
-        inner_tol=float(config.get("inner_tol", 1e-9)),
-        inner_max_iter=int(config.get("inner_max_iter", 10_000)),
-        smoothing=float(config.get("smoothing", 1e-2)),
     )
     state = run_dither(cfg, target)
 
@@ -246,29 +266,23 @@ def cmd_potentials(config: dict, allow_partial: bool) -> int:
     box = _box_from(config)
     mu = load_measure(_require(config, "mu"))
     nu = load_measure(_require(config, "nu"))
-    cost = cost_from_spec(_require(config, "cost"), box)
+    cost = _from_spec(config, "cost", cost_from_spec, box)
     epsilon = _epsilon_from(config)
-    grid = box.grid(int(config.get("grid_points_per_axis", 64)))
+    grid = box.grid(_coerce("grid_points_per_axis", config.get("grid_points_per_axis", 64), int))
 
     status = 0
     if math.isinf(epsilon):
-        limits = ot_infinity(cost, mu, nu)
-        phi, psi = limits.phi_inf, limits.psi_inf
-        phi_grid = cost.matrix(grid, nu.points) @ nu.weights - 0.5 * limits.ot_inf
-        psi_grid = cost.matrix(mu.points, grid).T @ mu.weights - 0.5 * limits.ot_inf
+        pair = ot_infinity(cost, mu, nu).potentials
     else:
-        cfg = _sinkhorn_config(config, epsilon)
-        solution = solve(cost, mu, nu, cfg)
+        solution = solve(cost, mu, nu, _dataclass_config(SinkhornConfig, config, epsilon=epsilon))
         if not solution.converged and not allow_partial:
             status = 2
-        phi, psi = solution.potentials.phi, solution.potentials.psi
-        phi_grid, psi_grid = extend_potentials(cost, mu, nu, solution.potentials, grid)
+        pair = solution.potentials
+    phi_grid, psi_grid = extend_potentials(cost, mu, nu, pair, grid)
 
-    save_potential(_require(config, "output_phi"), mu.points, phi)
-    save_potential(_require(config, "output_psi"), nu.points, psi)
+    save_potential(_require(config, "output_phi"), mu.points, pair.phi)
+    save_potential(_require(config, "output_psi"), nu.points, pair.psi)
     save_potential(_require(config, "output_diff"), grid, phi_grid - psi_grid)
-
-    from .kernels import kernel_for_cost
 
     kernel = kernel_for_cost(cost)
     witness = witness_from_limits(kernel, mu, nu, grid)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, ZeroDiscrepancyError
-from .kernels import Kernel
-from .measures import BoundingBox, DiscreteMeasure, _as_points
+from .kernels import Kernel, SpectralKernel
+from .measures import DiscreteMeasure, _as_points
 
 # Below this threshold the witness (division by the RKHS norm) is undefined.
 ZERO_DISCREPANCY_TOL = 1e-14
@@ -20,11 +20,10 @@ ZERO_DISCREPANCY_TOL = 1e-14
 
 @dataclass(frozen=True)
 class DiscrepancyResult:
-    """Discrepancy value, its raw square before clamping, and the witness norm."""
+    """Discrepancy value (the witness norm) and its raw square before clamping."""
 
     value: float
     squared: float
-    witness_norm: float
 
 
 def discrepancy(kernel: Kernel, mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscrepancyResult:
@@ -42,7 +41,7 @@ def discrepancy(kernel: Kernel, mu: DiscreteMeasure, nu: DiscreteMeasure) -> Dis
         - 2.0 * float(mu.weights @ kernel.gram(mu.points, nu.points) @ nu.weights)
     )
     value = float(np.sqrt(max(sq, 0.0)))
-    return DiscrepancyResult(value=value, squared=sq, witness_norm=value)
+    return DiscrepancyResult(value=value, squared=sq)
 
 
 def witness_unnormalized(kernel: Kernel, mu: DiscreteMeasure, nu: DiscreteMeasure, points) -> np.ndarray:
@@ -83,50 +82,6 @@ def fourier_coefficients(m: DiscreteMeasure, max_freq: int) -> FourierCoeffs:
     return FourierCoeffs(values=vals, max_freq=max_freq)
 
 
-class SpectralKernel(Kernel):
-    """Kernel on the 1-torus [0, 1) defined by Fourier coefficients.
-
-    K(x, y) = alpha_0 + 2 sum_{k=1}^N alpha_k cos(2 pi k (x - y)); the alphas
-    are given for k = 0..N with the symmetric completion alpha_{-k} = alpha_k
-    implied. Non-negative alphas make the kernel positive definite.
-    """
-
-    variant = "SpectralKernel"
-
-    def __init__(self, alpha, box: BoundingBox | None = None):
-        a = np.asarray(alpha, dtype=float).ravel()
-        if np.any(a < 0):
-            raise ValueError("spectral coefficients must be non-negative")
-        a.flags.writeable = False
-        self.alpha = a
-        if box is None:
-            box = BoundingBox(np.array([0.0]), np.array([1.0]))
-        if box.dim != 1:
-            raise DimensionMismatchError("SpectralKernel lives on the 1-torus")
-        super().__init__(box)
-
-    @property
-    def max_freq(self) -> int:
-        return self.alpha.shape[0] - 1
-
-    def _profile(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.full_like(r, self.alpha[0])
-        for k in range(1, self.alpha.shape[0]):
-            out = out + 2.0 * self.alpha[k] * np.cos(2.0 * np.pi * k * r)
-        return out
-
-    def _profile_deriv(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        for k in range(1, self.alpha.shape[0]):
-            out = out - 4.0 * np.pi * k * self.alpha[k] * np.sin(2.0 * np.pi * k * r)
-        return out
-
-    def params(self):
-        return {"alpha": self.alpha.tolist()}
-
-
 def spectral_discrepancy(sk: SpectralKernel, mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscrepancyResult:
     """D_K^2 = sum_{|k| <= N} alpha_k |mu_hat_k - nu_hat_k|^2 on the 1-torus."""
     if mu.dim != 1 or nu.dim != 1:
@@ -138,7 +93,7 @@ def spectral_discrepancy(sk: SpectralKernel, mu: DiscreteMeasure, nu: DiscreteMe
     for k in range(-n, n + 1):
         sq += sk.alpha[abs(k)] * abs(mu_hat[k] - nu_hat[k]) ** 2
     value = float(np.sqrt(max(sq, 0.0)))
-    return DiscrepancyResult(value=value, squared=float(sq), witness_norm=value)
+    return DiscrepancyResult(value=value, squared=float(sq))
 
 
 def halftoning_energy(kernel: Kernel, target: DiscreteMeasure, positions) -> float:

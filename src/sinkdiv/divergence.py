@@ -18,8 +18,8 @@ from .discrepancy import discrepancy as kernel_discrepancy
 from .errors import NotNegatedKernelError, ZeroDiscrepancyError
 from .fileio import atomic_write_text
 from .kernels import Cost, CpdShifted, Kernel, NegatedKernel
-from .measures import DiscreteMeasure, _as_points
-from .sinkhorn import SinkhornConfig, SinkhornSolution, ot_infinity, solve
+from .measures import DiscreteMeasure
+from .sinkhorn import SinkhornConfig, SinkhornSolution, extend_potentials, ot_infinity, solve
 
 # Default sweep grid: 25 log-spaced values over the active range, plus the
 # infinite-regularization terminal record appended by epsilon_sweep.
@@ -62,22 +62,7 @@ def sinkhorn_divergence(
     All three use the same regularization and tolerance; non-convergence of a
     term is reported in term_converged rather than raised.
     """
-    cross = solve(cost, mu, nu, cfg)
-    self_mu = solve(cost, mu, mu, cfg)
-    self_nu = solve(cost, nu, nu, cfg)
-    s = cross.value - 0.5 * self_mu.value - 0.5 * self_nu.value
-    return DivergenceResult(
-        s_eps=s,
-        ot_mu_nu=cross.value,
-        ot_mu_mu=self_mu.value,
-        ot_nu_nu=self_nu.value,
-        epsilon=cfg.epsilon,
-        term_converged={
-            "mu_nu": cross.converged,
-            "mu_mu": self_mu.converged,
-            "nu_nu": self_nu.converged,
-        },
-    )
+    return _divergence_from_cross(cost, mu, nu, cfg, solve(cost, mu, nu, cfg))
 
 
 def s_infinity(cost: Cost, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -114,7 +99,6 @@ def witness_from_limits(
     the result is reported against the original kernel; it matches
     witness_eval pointwise.
     """
-    pts = _as_points(points)
     if isinstance(kernel, CpdShifted):
         shifted, base, anchor = kernel, kernel.base, kernel.anchor
     elif kernel.cpd_order == 1:
@@ -124,10 +108,8 @@ def witness_from_limits(
         shifted, base, anchor = kernel, None, None
 
     cost = NegatedKernel(shifted)
-    limits = ot_infinity(cost, mu, nu)
     # continuous extensions of the limit potentials to the query points
-    phi_inf = cost.matrix(pts, nu.points) @ nu.weights - 0.5 * limits.ot_inf
-    psi_inf = cost.matrix(mu.points, pts).T @ mu.weights - 0.5 * limits.ot_inf
+    phi_inf, psi_inf = extend_potentials(cost, mu, nu, ot_infinity(cost, mu, nu).potentials, points)
     witness = phi_inf - psi_inf
 
     if base is not None:
@@ -197,6 +179,7 @@ def epsilon_sweep(
 
 
 def _divergence_from_cross(cost, mu, nu, cfg, cross: SinkhornSolution) -> DivergenceResult:
+    """Assemble S_eps from a solved cross term plus the two self-term solves."""
     self_mu = solve(cost, mu, mu, cfg)
     self_nu = solve(cost, nu, nu, cfg)
     return DivergenceResult(

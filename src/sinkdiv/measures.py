@@ -19,6 +19,7 @@ from .errors import (
     WeightSumDeviationError,
     ZeroMassError,
 )
+from .fileio import atomic_write_text
 
 # Weight sums must match 1 to this absolute tolerance after construction.
 WEIGHT_SUM_TOL = 1e-12
@@ -282,7 +283,4 @@ def save_potential(path, points: np.ndarray, values: np.ndarray, header: str | N
     for v, row in zip(values, pts):
         cols = [_format_float(float(v))] + [_format_float(float(c)) for c in row]
         lines.append(",".join(cols))
-    text = "\n".join(lines) + "\n"
-    from .fileio import atomic_write_text
-
-    atomic_write_text(path, text)
+    atomic_write_text(path, "\n".join(lines) + "\n")

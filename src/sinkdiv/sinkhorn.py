@@ -8,6 +8,7 @@ extreme of the regularization parameter.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,11 @@ class LimitPotentials:
     phi_inf: np.ndarray
     psi_inf: np.ndarray
     ot_inf: float
+
+    @property
+    def potentials(self) -> PotentialPair:
+        """The limit potentials as an epsilon = inf pair, ready for extend_potentials."""
+        return PotentialPair(phi=self.phi_inf, psi=self.psi_inf, epsilon=math.inf, normalized=True)
 
 
 @dataclass(frozen=True)
@@ -110,12 +116,19 @@ def _softmin_core(c_block: np.ndarray, weights: np.ndarray, phi: np.ndarray, eps
 
 
 def softmin(cost: Cost, m: DiscreteMeasure, phi: np.ndarray, epsilon: float, query_points) -> np.ndarray:
-    """Softmin half-step T(phi)(x) = -eps log int exp((phi(y) - c(x, y))/eps) dm(y)."""
+    """Softmin half-step T(phi)(x) = -eps log int exp((phi(y) - c(x, y))/eps) dm(y).
+
+    epsilon = math.inf gives the limit of the half-step, the m-average of
+    c(x, .) - phi.
+    """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     pts = _as_points(query_points)
     c_block = cost.matrix(pts, m.points)
-    return _softmin_core(c_block, m.weights, np.asarray(phi, dtype=float), epsilon)
+    phi = np.asarray(phi, dtype=float)
+    if math.isinf(epsilon):
+        return c_block @ m.weights - phi @ m.weights
+    return _softmin_core(c_block, m.weights, phi, epsilon)
 
 
 def ot_infinity(cost: Cost, mu: DiscreteMeasure, nu: DiscreteMeasure) -> LimitPotentials:
@@ -125,13 +138,9 @@ def ot_infinity(cost: Cost, mu: DiscreteMeasure, nu: DiscreteMeasure) -> LimitPo
     cost averages shifted so that sum_i phi_i mu_i = ot_inf / 2.
     """
     c_matrix = cost.matrix(mu.points, nu.points)
-    return _ot_infinity_from_matrix(c_matrix, mu.weights, nu.weights)
-
-
-def _ot_infinity_from_matrix(c_matrix: np.ndarray, w_mu: np.ndarray, w_nu: np.ndarray) -> LimitPotentials:
-    row_avg = c_matrix @ w_nu
-    col_avg = c_matrix.T @ w_mu
-    ot_inf = float(w_mu @ row_avg)
+    row_avg = c_matrix @ nu.weights
+    col_avg = c_matrix.T @ mu.weights
+    ot_inf = float(mu.weights @ row_avg)
     return LimitPotentials(
         phi_inf=row_avg - 0.5 * ot_inf,
         psi_inf=col_avg - 0.5 * ot_inf,
@@ -239,9 +248,9 @@ def solve(
                 converged = True
                 break
 
-    limits = _ot_infinity_from_matrix(c_matrix, w_mu, w_nu)
     if cfg.normalize:
-        delta = 0.5 * limits.ot_inf - float(phi @ w_mu)
+        # half the independent-coupling cost, as in ot_infinity
+        delta = 0.5 * float(w_mu @ (c_matrix @ w_nu)) - float(phi @ w_mu)
         phi = phi + delta
         psi = psi - delta
 
@@ -280,7 +289,8 @@ def extend_potentials(
     """Evaluate the canonical continuous extensions of (phi, psi) off-support.
 
     phi extends through the half-step against nu, psi through the half-step
-    against mu.
+    against mu; a pair with epsilon = inf (LimitPotentials.potentials) extends
+    through the limit of the half-step.
     """
     phi_ext = softmin(cost, nu, pair.psi, pair.epsilon, points)
     psi_ext = softmin(cost, mu, pair.phi, pair.epsilon, points)

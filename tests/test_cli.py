@@ -1,6 +1,8 @@
 """CLI subcommands: configs, outputs, exit codes, idempotency."""
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +125,69 @@ def test_set_override(tmp_path, toy_files, capsys):
 
 def test_missing_config_file(tmp_path, capsys):
     assert main(["compute", "--config", str(tmp_path / "nope.json")]) == 1
+
+
+def _base_config(tmp_path, command, mu, nu):
+    if command == "compute":
+        return {"kind": "s_eps", "mu": str(mu), "nu": str(nu), "box": BOX_1D,
+                "cost": ABS_COST, "epsilon": 0.5}
+    if command == "dither":
+        return {"target": str(mu), "box": BOX_1D, "cost": ABS_COST, "M": 2,
+                "epsilon": 0.5, "max_outer_iter": 2,
+                "output_positions": str(tmp_path / "pos.txt"),
+                "output_trace": str(tmp_path / "trace.jsonl")}
+    return {"mu": str(mu), "nu": str(nu), "box": BOX_1D, "cost": ABS_COST,
+            "epsilon": 0.5, **{key: str(tmp_path / f"{key}.txt") for key in (
+                "output_phi", "output_psi", "output_diff", "output_witness")}}
+
+
+@pytest.mark.parametrize("command, override, key", [
+    # values that do not coerce to the type of the field's default
+    ("compute", "max_iter=abc", "max_iter"),
+    ("compute", "normalize=1", "normalize"),
+    ("dither", "seed=abc", "seed"),
+    ("dither", "backtrack=x", "backtrack"),
+    ("dither", "M=[2]", "M"),
+    ("potentials", "grid_points_per_axis=abc", "grid_points_per_axis"),
+    # values the configuration dataclass rejects
+    ("compute", "tol=-1", "tol"),
+    ("dither", "M=0", "M"),
+    ("dither", "backtrack=1.0", "backtrack"),
+    ("dither", "sufficient_decrease=-0.5", "sufficient_decrease"),
+    ("compute", "epsilon=NaN", "epsilon"),
+    # cost and kernel specs that cannot be built
+    ("compute", "cost.variant=Foo", "cost"),
+    ("compute", 'cost={"variant":"PowerDistance"}', "cost"),
+    ("compute", "cost=5", "cost"),
+    ("potentials", 'cost={"variant":"NegatedKernel","params":{}}', "cost"),
+])
+def test_bad_config_value_exits_one_naming_key(tmp_path, toy_files, capsys, command,
+                                               override, key):
+    mu, nu = toy_files
+    cfg = write_config(tmp_path, _base_config(tmp_path, command, mu, nu))
+    assert main([command, "--config", str(cfg), "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert re.search(rf"\b{key}\b", err)
+
+def test_kernel_spec_error_names_key(tmp_path, toy_files, capsys):
+    mu, nu = toy_files
+    cfg = write_config(tmp_path, {
+        "kind": "discrepancy", "mu": str(mu), "nu": str(nu), "box": BOX_1D,
+        "kernel": {"variant": "Gaussian", "params": {"c": -1.0}},
+    })
+    assert main(["compute", "--config", str(cfg)]) == 1
+    assert "'kernel'" in capsys.readouterr().err
+
+def test_base_configs_of_bad_value_cases_run(tmp_path, toy_files, capsys):
+    # the bad-value cases above fail because of their override alone
+    mu, nu = toy_files
+    for command in ("compute", "dither", "potentials"):
+        cfg = write_config(tmp_path, _base_config(tmp_path, command, mu, nu), f"{command}.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main([command, "--config", str(cfg)]) == 0
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

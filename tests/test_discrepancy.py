@@ -51,7 +51,6 @@ def test_hand_value_two_diracs(unit_box):
     res = discrepancy(k, dirac([0.0]), dirac([1.0]))
     assert res.squared == pytest.approx(2.0, abs=1e-15)
     assert res.value == pytest.approx(math.sqrt(2.0), abs=1e-15)
-    assert res.witness_norm == res.value
 
 
 def test_matches_brute_force(unit_square):

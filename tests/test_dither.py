@@ -50,6 +50,28 @@ def test_smooth_cost_kept(square):
 
 
 # ---------------------------------------------------------------------------
+# line-search constants
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("key, value", [
+    # a factor >= 1 never shrinks the step, so the line search would not end
+    ("backtrack", 1.0), ("backtrack", 2.0), ("backtrack", 0.0), ("backtrack", -0.5),
+    ("backtrack", math.nan),
+    # a negative constant accepts energy increases
+    ("sufficient_decrease", -1e-4), ("sufficient_decrease", 0.0),
+    ("sufficient_decrease", 1.0), ("sufficient_decrease", math.nan),
+])
+def test_line_search_constants_outside_unit_interval_rejected(square, key, value):
+    with pytest.raises(ValueError, match=key):
+        DitherConfig(M=2, epsilon=1.0, cost=AbsDistance(square), **{key: value})
+
+def test_line_search_constants_inside_unit_interval_accepted(square):
+    cfg = DitherConfig(M=2, epsilon=1.0, cost=AbsDistance(square), backtrack=0.9,
+                       sufficient_decrease=0.5)
+    assert (cfg.backtrack, cfg.sufficient_decrease) == (0.9, 0.5)
+
+
+# ---------------------------------------------------------------------------
 # objective
 # ---------------------------------------------------------------------------
 

@@ -20,6 +20,7 @@ from sinkdiv import (
     solve,
     uniform,
 )
+from sinkdiv.sinkhorn import extend_potentials
 
 from conftest import random_measure
 
@@ -66,6 +67,18 @@ def test_softmin_ignores_zero_weight_atoms(unit_box):
     b = softmin(cost, just_one, np.array([0.3]), 0.5, x)
     assert a[0] == b[0]
 
+
+def test_softmin_infinite_epsilon_is_large_epsilon_limit(unit_square):
+    # eps = inf returns the m-average of c(x, .) - phi, the limit of the half-step
+    rng = np.random.default_rng(12)
+    cost = AbsDistance(unit_square)
+    m = random_measure(rng, 9, unit_square)
+    phi = rng.random(9) - 0.5
+    x = rng.random((6, 2))
+    limit = softmin(cost, m, phi, math.inf, x)
+    assert np.max(np.abs(limit - softmin(cost, m, phi, 1e8, x))) <= 1e-6
+    assert np.allclose(limit, cost.matrix(x, m.points) @ m.weights - phi @ m.weights,
+                       rtol=0.0, atol=1e-15)
 
 # ---------------------------------------------------------------------------
 # solve: toy values
@@ -220,6 +233,20 @@ def test_ot_infinity_normalization_identity(unit_box):
     assert float(limits.phi_inf @ mu.weights) == pytest.approx(
         0.5 * limits.ot_inf, abs=1e-14
     )
+
+def test_extended_limit_potentials_match_on_supports(unit_square):
+    # the eps = inf pair extends through the limit half-step and reproduces
+    # the limit potentials on both supports
+    rng = np.random.default_rng(13)
+    cost = NegatedKernel(Gaussian(unit_square, c=0.4))
+    mu = random_measure(rng, 7, unit_square)
+    nu = random_measure(rng, 11, unit_square)
+    limits = ot_infinity(cost, mu, nu)
+    assert limits.potentials.epsilon == math.inf
+    phi_ext, _ = extend_potentials(cost, mu, nu, limits.potentials, mu.points)
+    _, psi_ext = extend_potentials(cost, mu, nu, limits.potentials, nu.points)
+    assert np.max(np.abs(phi_ext - limits.phi_inf)) <= 1e-12
+    assert np.max(np.abs(psi_ext - limits.psi_inf)) <= 1e-12
 
 def test_potentials_converge_to_limits(unit_box):
     # asymmetric toy; a mirror-symmetric instance has zero distance at all eps
