@@ -18,7 +18,14 @@ import numpy as np
 from .discrepancy import discrepancy
 from .dither import DitherConfig
 from .dither import dither as run_dither
-from .divergence import epsilon_sweep, s_infinity, sinkhorn_divergence, witness_from_limits, write_sweep_csv
+from .divergence import (
+    epsilon_sweep,
+    s_infinity,
+    sinkhorn_divergence,
+    sweep_epsilons,
+    witness_from_limits,
+    write_sweep_csv,
+)
 from .errors import ConfigError, SinkdivError
 from .exact_ot import exact_ot
 from .fileio import atomic_write_text
@@ -160,7 +167,7 @@ def _emit_json(config, payload: dict):
 def cmd_compute(config: dict, allow_partial: bool) -> int:
     _validate_keys("compute", config)
     kind = _require(config, "kind")
-    if kind not in _COMPUTE_KINDS:
+    if not isinstance(kind, str) or kind not in _COMPUTE_KINDS:
         raise ConfigError(f"unknown kind {kind!r}, expected one of {sorted(_COMPUTE_KINDS)}")
     box = _box_from(config)
     mu = load_measure(_require(config, "mu"))
@@ -218,7 +225,10 @@ def cmd_sweep(config: dict, allow_partial: bool) -> int:
     mu = load_measure(_require(config, "mu"))
     nu = load_measure(_require(config, "nu"))
     cost = _from_spec(config, "cost", cost_from_spec, box)
-    epsilons = config.get("epsilons")
+    try:
+        epsilons = sweep_epsilons(config.get("epsilons"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid 'epsilons' {config['epsilons']!r}: {exc}") from exc
     cfg = _dataclass_config(SinkhornConfig, config, epsilon=1.0)
     records = epsilon_sweep(cost, mu, nu, epsilons=epsilons, cfg=cfg)
     write_sweep_csv(_require(config, "output"), records)

@@ -123,6 +123,21 @@ def witness_from_limits(
     return witness / norm
 
 
+def sweep_epsilons(epsilons=None) -> np.ndarray:
+    """The regularization grid of a sweep: DEFAULT_EPSILONS, or the given values.
+
+    Raises ValueError unless the values form a vector of finite, positive,
+    strictly increasing numbers.
+    """
+    if epsilons is None:
+        return DEFAULT_EPSILONS
+    values = np.asarray(epsilons, dtype=float)
+    if (values.ndim != 1 or not np.all(np.isfinite(values))
+            or np.any(values <= 0) or np.any(np.diff(values) <= 0)):
+        raise ValueError("epsilons must be finite, positive and strictly increasing")
+    return values
+
+
 def epsilon_sweep(
     cost: Cost,
     mu: DiscreteMeasure,
@@ -137,9 +152,7 @@ def epsilon_sweep(
     from the limit formulas (discrepancy path for kernel-backed costs).
     Non-converged solves are flagged per record and the sweep continues.
     """
-    eps_values = DEFAULT_EPSILONS if epsilons is None else np.asarray(epsilons, dtype=float)
-    if np.any(np.diff(eps_values) <= 0) or np.any(eps_values <= 0):
-        raise ValueError("epsilons must be strictly increasing and positive")
+    eps_values = sweep_epsilons(epsilons)
     template = cfg if cfg is not None else SinkhornConfig(epsilon=1.0)
 
     limits = ot_infinity(cost, mu, nu)

@@ -13,6 +13,10 @@ class NegativeWeightError(SinkdivError):
     """A measure carries a negative weight."""
 
 
+class NonFiniteValueError(SinkdivError):
+    """A measure carries a NaN or infinite point coordinate or weight."""
+
+
 class WeightSumDeviationError(SinkdivError):
     """Measure weights do not sum to one within tolerance."""
 

@@ -27,7 +27,10 @@ def pairwise_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix, entry (i, j) = ||xs_i - ys_j||.
 
     Computed from coordinate differences so that D[i, j] and the transposed
-    evaluation agree bitwise.
+    evaluation agree bitwise. The squared differences are accumulated one
+    coordinate at a time, in coordinate order, so no (n, m, d) tensor is
+    built; for d <= 8 that order is numpy's own sum over a short last axis,
+    and the bits match the tensor formula.
     """
     xs = _as_points(xs)
     ys = _as_points(ys)
@@ -35,8 +38,12 @@ def pairwise_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"point sets have dimensions {xs.shape[1]} and {ys.shape[1]}"
         )
-    diff = xs[:, None, :] - ys[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    sq = np.subtract.outer(xs[:, 0], ys[:, 0])
+    sq *= sq
+    for k in range(1, xs.shape[1]):
+        diff = np.subtract.outer(xs[:, k], ys[:, k])
+        sq += np.multiply(diff, diff, out=diff)
+    return np.sqrt(sq, out=sq)
 
 
 class _RadialFunction:

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     NegativeWeightError,
+    NonFiniteValueError,
     PointOutsideBoxError,
     SupportMismatchError,
     WeightSumDeviationError,
@@ -92,9 +93,10 @@ class BoundingBox:
 class DiscreteMeasure:
     """Weighted point cloud sum_i w_i * delta(x_i) in R^d.
 
-    The raw constructor stores points and weights as given; use
-    :meth:`normalized` to renormalize the weights exactly once. Arrays are
-    frozen after construction and safe to share across threads.
+    The raw constructor stores points and weights as given, after checking
+    their shapes and that every entry is finite; use :meth:`normalized` to
+    renormalize the weights exactly once. Arrays are frozen after
+    construction and safe to share across threads.
     """
 
     points: np.ndarray
@@ -107,6 +109,10 @@ class DiscreteMeasure:
             raise DimensionMismatchError(
                 f"weights shape {w.shape} does not match {pts.shape[0]} points"
             )
+        if not np.all(np.isfinite(pts)):
+            raise NonFiniteValueError("non-finite point coordinate")
+        if not np.all(np.isfinite(w)):
+            raise NonFiniteValueError("non-finite weight")
         pts = np.ascontiguousarray(pts)
         w = np.ascontiguousarray(w)
         pts.flags.writeable = False
@@ -121,7 +127,8 @@ class DiscreteMeasure:
         if weights is None:
             w = np.full(pts.shape[0], 1.0 / pts.shape[0])
         else:
-            w = np.asarray(weights, dtype=float)
+            # shape and finiteness are checked before any arithmetic
+            w = cls(pts, weights).weights
             if np.any(w < 0):
                 raise NegativeWeightError(f"min weight {w.min()} < 0")
             total = float(np.sum(w))
@@ -266,7 +273,10 @@ def load_measure(path) -> DiscreteMeasure:
     w, pts = load_table(path)
     if np.any(w < 0):
         raise NegativeWeightError(f"negative weight in {path}")
-    return DiscreteMeasure.normalized(pts, w)
+    try:
+        return DiscreteMeasure.normalized(pts, w)
+    except NonFiniteValueError as exc:
+        raise NonFiniteValueError(f"{exc} in {path}") from exc
 
 
 def save_measure(path, m: DiscreteMeasure, header: str | None = None):

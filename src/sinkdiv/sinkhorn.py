@@ -5,6 +5,12 @@ oscillation-norm stopping rule, potential normalization, value/plan/gap
 extraction, contraction diagnostics, and the infinite-regularization limit
 objects. All exponentials are max-shifted; nothing overflows at either
 extreme of the regularization parameter.
+
+A half-step works on K = -C/eps, built once per solve (plus one contiguous
+transpose for the alternating update), and on g = phi/eps + log w, which
+folds the weights into the potential: log 0 = -inf, so zero-weight atoms drop
+out of the sum without a mask. Its n x m passes run in one preallocated
+scratch buffer.
 """
 from __future__ import annotations
 
@@ -98,21 +104,26 @@ def _oscillation(values: np.ndarray) -> float:
     return 0.5 * float(np.max(values) - np.min(values))
 
 
-def _softmin_core(c_block: np.ndarray, weights: np.ndarray, phi: np.ndarray, epsilon: float) -> np.ndarray:
-    """-eps log sum_j w_j exp((phi_j - c_qj)/eps) for each query row q.
+def _log_weights(weights: np.ndarray) -> np.ndarray:
+    """log w with log 0 = -inf, the weight term of g = phi/eps + log w."""
+    with np.errstate(divide="ignore"):
+        return np.log(weights)
 
-    Max-shifted over the exponent; zero-weight atoms are excluded from the
-    reduction (they carry no mass).
+
+def _softmin_core(k_block: np.ndarray, g: np.ndarray, epsilon: float, out: np.ndarray) -> np.ndarray:
+    """-eps log sum_j exp(k_qj + g_j) for each query row q.
+
+    k_block = -C/eps and g = phi/eps + log w, so this is the half-step
+    -eps log sum_j w_j exp((phi_j - c_qj)/eps); a zero-weight atom has
+    g_j = -inf and adds exp(-inf) = 0. Max-shifted over the exponent. Every
+    pass over the block runs in `out` (k_block's shape; k_block itself when
+    the caller no longer needs it), so nothing of that size is allocated.
     """
-    mask = weights > 0.0
-    if not np.all(mask):
-        c_block = c_block[:, mask]
-        weights = weights[mask]
-        phi = phi[mask]
-    a = (phi[None, :] - c_block) / epsilon
-    a_max = np.max(a, axis=1)
-    s = np.sum(weights[None, :] * np.exp(a - a_max[:, None]), axis=1)
-    return -epsilon * (a_max + np.log(s))
+    np.add(k_block, g, out=out)
+    row_max = np.max(out, axis=1)
+    np.subtract(out, row_max[:, None], out=out)
+    np.exp(out, out=out)
+    return -epsilon * (row_max + np.log(np.sum(out, axis=1)))
 
 
 def softmin(cost: Cost, m: DiscreteMeasure, phi: np.ndarray, epsilon: float, query_points) -> np.ndarray:
@@ -128,7 +139,9 @@ def softmin(cost: Cost, m: DiscreteMeasure, phi: np.ndarray, epsilon: float, que
     phi = np.asarray(phi, dtype=float)
     if math.isinf(epsilon):
         return c_block @ m.weights - phi @ m.weights
-    return _softmin_core(c_block, m.weights, phi, epsilon)
+    # the block is ours: it becomes K = -C/eps and then the scratch buffer
+    k_block = np.divide(c_block, -epsilon, out=c_block)
+    return _softmin_core(k_block, phi / epsilon + _log_weights(m.weights), epsilon, out=k_block)
 
 
 def ot_infinity(cost: Cost, mu: DiscreteMeasure, nu: DiscreteMeasure) -> LimitPotentials:
@@ -190,6 +203,64 @@ def _is_self_problem(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
     )
 
 
+def _fixed_point(c_matrix, mu, nu, cfg, psi0):
+    """Iterate the half-steps; returns phi, psi, iterations, residuals, converged.
+
+    K, its transpose and the scratch buffer live only in this frame, so they
+    are released before the caller extracts the plan.
+    """
+    eps = cfg.epsilon
+    k_matrix = c_matrix / -eps
+    scratch = np.empty_like(k_matrix)
+    log_w_mu = _log_weights(mu.weights)
+
+    residuals = []
+    converged = False
+    iterations = 0
+    if _is_self_problem(mu, nu):
+        def half_step(potential):
+            return _softmin_core(k_matrix, potential / eps + log_w_mu, eps, scratch)
+
+        phi = np.zeros(len(mu)) if psi0 is None else np.asarray(psi0, dtype=float).copy()
+        for iterations in range(1, cfg.max_iter + 1):
+            phi_new = 0.5 * (phi + half_step(phi))
+            res = _oscillation(phi_new - phi)
+            residuals.append(res)
+            phi = phi_new
+            if res <= cfg.tol:
+                converged = True
+                break
+        # polish: two extra averaged steps tighten the self-consistency defect
+        # beyond the stopping tolerance, keeping plan marginals at the scale
+        # the extraction formula assumes even for small epsilon
+        for _ in range(2):
+            phi = 0.5 * (phi + half_step(phi))
+        # the oscillation residual is blind to the constant component of the
+        # defect phi - T(phi); shifting by half its midrange removes that
+        # component exactly (T(phi - a) = T(phi) + a)
+        defect = phi - half_step(phi)
+        phi = phi - 0.25 * float(np.max(defect) + np.min(defect))
+        psi = phi.copy()
+    else:
+        # the psi update reduces over rows of K; a contiguous transpose keeps
+        # its reads sequential, and the scratch buffer serves both shapes
+        k_transposed = np.ascontiguousarray(k_matrix.T)
+        scratch_transposed = scratch.reshape(k_transposed.shape)
+        log_w_nu = _log_weights(nu.weights)
+        psi = np.zeros(len(nu)) if psi0 is None else np.asarray(psi0, dtype=float).copy()
+        phi = np.zeros(len(mu))
+        for iterations in range(1, cfg.max_iter + 1):
+            phi = _softmin_core(k_matrix, psi / eps + log_w_nu, eps, scratch)
+            psi_new = _softmin_core(k_transposed, phi / eps + log_w_mu, eps, scratch_transposed)
+            res = _oscillation(psi_new - psi)
+            residuals.append(res)
+            psi = psi_new
+            if res <= cfg.tol:
+                converged = True
+                break
+    return phi, psi, iterations, residuals, converged
+
+
 def solve(
     cost: Cost,
     mu: DiscreteMeasure,
@@ -208,45 +279,7 @@ def solve(
     eps = cfg.epsilon
     c_matrix = cost.matrix(mu.points, nu.points)
     w_mu, w_nu = mu.weights, nu.weights
-    symmetric = _is_self_problem(mu, nu)
-
-    residuals = []
-    converged = False
-    if symmetric:
-        phi = np.zeros(len(mu)) if psi0 is None else np.asarray(psi0, dtype=float).copy()
-        iterations = 0
-        for iterations in range(1, cfg.max_iter + 1):
-            phi_new = 0.5 * (phi + _softmin_core(c_matrix, w_mu, phi, eps))
-            res = _oscillation(phi_new - phi)
-            residuals.append(res)
-            phi = phi_new
-            if res <= cfg.tol:
-                converged = True
-                break
-        # polish: two extra averaged steps tighten the self-consistency defect
-        # beyond the stopping tolerance, keeping plan marginals at the scale
-        # the extraction formula assumes even for small epsilon
-        for _ in range(2):
-            phi = 0.5 * (phi + _softmin_core(c_matrix, w_mu, phi, eps))
-        # the oscillation residual is blind to the constant component of the
-        # defect phi - T(phi); shifting by half its midrange removes that
-        # component exactly (T(phi - a) = T(phi) + a)
-        defect = phi - _softmin_core(c_matrix, w_mu, phi, eps)
-        phi = phi - 0.25 * float(np.max(defect) + np.min(defect))
-        psi = phi.copy()
-    else:
-        psi = np.zeros(len(nu)) if psi0 is None else np.asarray(psi0, dtype=float).copy()
-        phi = np.zeros(len(mu))
-        iterations = 0
-        for iterations in range(1, cfg.max_iter + 1):
-            phi = _softmin_core(c_matrix, w_nu, psi, eps)
-            psi_new = _softmin_core(c_matrix.T, w_mu, phi, eps)
-            res = _oscillation(psi_new - psi)
-            residuals.append(res)
-            psi = psi_new
-            if res <= cfg.tol:
-                converged = True
-                break
+    phi, psi, iterations, residuals, converged = _fixed_point(c_matrix, mu, nu, cfg, psi0)
 
     if cfg.normalize:
         # half the independent-coupling cost, as in ot_infinity
@@ -257,7 +290,8 @@ def solve(
     value = float(phi @ w_mu + psi @ w_nu)
     exponent = (phi[:, None] + psi[None, :] - c_matrix) / eps
     with np.errstate(over="ignore"):
-        plan_matrix = np.exp(exponent) * np.outer(w_mu, w_nu)
+        plan_matrix = np.exp(exponent)
+        plan_matrix *= np.outer(w_mu, w_nu)
     plan = TransportPlan(matrix=plan_matrix, mu=mu, nu=nu)
 
     # primal value of the extracted plan; its relative-entropy term reuses the

@@ -136,6 +136,9 @@ def _base_config(tmp_path, command, mu, nu):
                 "epsilon": 0.5, "max_outer_iter": 2,
                 "output_positions": str(tmp_path / "pos.txt"),
                 "output_trace": str(tmp_path / "trace.jsonl")}
+    if command == "sweep":
+        return {"mu": str(mu), "nu": str(nu), "box": BOX_1D, "cost": ABS_COST,
+                "epsilons": [0.5, 1.0], "output": str(tmp_path / "sweep.csv")}
     return {"mu": str(mu), "nu": str(nu), "box": BOX_1D, "cost": ABS_COST,
             "epsilon": 0.5, **{key: str(tmp_path / f"{key}.txt") for key in (
                 "output_phi", "output_psi", "output_diff", "output_witness")}}
@@ -155,6 +158,10 @@ def _base_config(tmp_path, command, mu, nu):
     ("dither", "backtrack=1.0", "backtrack"),
     ("dither", "sufficient_decrease=-0.5", "sufficient_decrease"),
     ("compute", "epsilon=NaN", "epsilon"),
+    ("compute", "kind=[1]", "kind"),
+    ("sweep", "epsilons=[1.0,0.5]", "epsilons"),
+    ("sweep", "epsilons=abc", "epsilons"),
+    ("sweep", "epsilons=[0.5,NaN]", "epsilons"),
     # cost and kernel specs that cannot be built
     ("compute", "cost.variant=Foo", "cost"),
     ("compute", 'cost={"variant":"PowerDistance"}', "cost"),
@@ -170,6 +177,18 @@ def test_bad_config_value_exits_one_naming_key(tmp_path, toy_files, capsys, comm
     assert err.startswith("config error:")
     assert re.search(rf"\b{key}\b", err)
 
+@pytest.mark.parametrize("line", ["nan,0.9", "inf,0.9", "0.5,nan", "0.5,-inf"])
+@pytest.mark.parametrize("command", ["compute", "sweep", "potentials"])
+def test_non_finite_measure_file_exits_one_naming_file(tmp_path, toy_files, capsys, command, line):
+    mu, nu = toy_files
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"0.5,0.1\n{line}\n")
+    cfg = write_config(tmp_path, _base_config(tmp_path, command, mu, nu))
+    assert main([command, "--config", str(cfg), "--set", f"nu={bad}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite")
+    assert str(bad) in err
+
 def test_kernel_spec_error_names_key(tmp_path, toy_files, capsys):
     mu, nu = toy_files
     cfg = write_config(tmp_path, {
@@ -182,7 +201,7 @@ def test_kernel_spec_error_names_key(tmp_path, toy_files, capsys):
 def test_base_configs_of_bad_value_cases_run(tmp_path, toy_files, capsys):
     # the bad-value cases above fail because of their override alone
     mu, nu = toy_files
-    for command in ("compute", "dither", "potentials"):
+    for command in ("compute", "sweep", "dither", "potentials"):
         cfg = write_config(tmp_path, _base_config(tmp_path, command, mu, nu), f"{command}.json")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

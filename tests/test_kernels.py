@@ -253,6 +253,17 @@ def test_pairwise_distances_shape(unit_square):
     assert d.shape == (4, 6)
     assert np.all(d >= 0)
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pairwise_distances_bitwise_tensor_formula_and_transpose(d):
+    rng = np.random.default_rng(30 + d)
+    xs = rng.random((23, d)) * 2.0 - 1.0
+    ys = rng.random((17, d)) * 2.0 - 1.0
+    diff = xs[:, None, :] - ys[None, :, :]
+    tensor = np.sqrt(np.sum(diff * diff, axis=2))
+    dist = pairwise_distances(xs, ys)
+    assert np.array_equal(dist, tensor)
+    assert np.array_equal(pairwise_distances(ys, xs).T, dist)
+
 def test_wendland_dimension_guard():
     box = BoundingBox(np.zeros(4), np.ones(4))
     with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from sinkdiv import (
 from sinkdiv.errors import (
     DimensionMismatchError,
     NegativeWeightError,
+    NonFiniteValueError,
     PointOutsideBoxError,
     SupportMismatchError,
     WeightSumDeviationError,
@@ -62,6 +63,18 @@ def test_normalized_constructor_renormalizes_once():
     m = DiscreteMeasure.normalized(np.array([[0.0], [1.0]]), np.array([2.0, 6.0]))
     assert np.allclose(m.weights, [0.25, 0.75])
     assert abs(m.weights.sum() - 1.0) <= 1e-12
+
+@pytest.mark.parametrize("points, weights", [
+    ([[0.0], [1.0]], [0.5, math.nan]),
+    ([[0.0], [1.0]], [math.inf, 0.5]),
+    ([[0.0], [math.nan]], [0.5, 0.5]),
+    ([[-math.inf], [1.0]], [0.5, 0.5]),
+])
+def test_non_finite_points_and_weights_rejected(points, weights):
+    with pytest.raises(NonFiniteValueError):
+        DiscreteMeasure(np.array(points), np.array(weights))
+    with pytest.raises(NonFiniteValueError):
+        DiscreteMeasure.normalized(np.array(points), np.array(weights))
 
 def test_measure_arrays_frozen():
     m = uniform(np.array([[0.0], [1.0]]))

@@ -20,7 +20,7 @@ from sinkdiv import (
     solve,
     uniform,
 )
-from sinkdiv.sinkhorn import extend_potentials
+from sinkdiv.sinkhorn import _log_weights, _softmin_core, extend_potentials
 
 from conftest import random_measure
 
@@ -66,6 +66,85 @@ def test_softmin_ignores_zero_weight_atoms(unit_box):
     a = softmin(cost, with_zero, np.array([0.3, 5.0]), 0.5, x)
     b = softmin(cost, just_one, np.array([0.3]), 0.5, x)
     assert a[0] == b[0]
+
+
+def _naive_softmin(c_block, weights, phi, eps):
+    # the max-shifted log-sum-exp written out, one query row at a time
+    out = np.empty(c_block.shape[0])
+    for q, row in enumerate(c_block):
+        a = (phi - row) / eps
+        top = np.max(a)
+        out[q] = -eps * (top + math.log(np.sum(weights * np.exp(a - top))))
+    return out
+
+
+def _with_zero_weight_atoms(rng, box, n, zeros):
+    # n random atoms of which the listed ones carry no mass, plus the kept part
+    m = random_measure(rng, n, box)
+    w = m.weights.copy()
+    w[zeros] = 0.0
+    w /= w.sum()
+    keep = w > 0
+    return DiscreteMeasure(m.points, w), DiscreteMeasure(m.points[keep], w[keep]), keep
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.1, 10.0])
+def test_half_step_matches_naive_logsumexp_both_orientations(unit_square, eps):
+    rng = np.random.default_rng(21)
+    cost = AbsDistance(unit_square)
+    mu = random_measure(rng, 13, unit_square)
+    nu = random_measure(rng, 8, unit_square)
+    phi, psi = rng.random(13) - 0.5, rng.random(8) - 0.5
+    c_matrix = cost.matrix(mu.points, nu.points)
+    naive_rows = _naive_softmin(c_matrix, nu.weights, psi, eps)
+    naive_cols = _naive_softmin(c_matrix.T, mu.weights, phi, eps)
+    # through softmin, which evaluates the cost block itself
+    assert np.max(np.abs(softmin(cost, nu, psi, eps, mu.points) - naive_rows)) <= 1e-12
+    assert np.max(np.abs(softmin(cost, mu, phi, eps, nu.points) - naive_cols)) <= 1e-12
+    # the solver's layout: K, its contiguous transpose, one scratch buffer for both
+    k_matrix = c_matrix / -eps
+    k_transposed = np.ascontiguousarray(k_matrix.T)
+    scratch = np.empty_like(k_matrix)
+    rows = _softmin_core(k_matrix, psi / eps + _log_weights(nu.weights), eps, scratch)
+    cols = _softmin_core(k_transposed, phi / eps + _log_weights(mu.weights), eps,
+                         scratch.reshape(k_transposed.shape))
+    assert np.max(np.abs(rows - naive_rows)) <= 1e-12
+    assert np.max(np.abs(cols - naive_cols)) <= 1e-12
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.1, 10.0])
+def test_softmin_zero_weight_atoms_match_dropped(unit_square, eps):
+    rng = np.random.default_rng(22)
+    cost = AbsDistance(unit_square)
+    with_zeros, dropped, keep = _with_zero_weight_atoms(rng, unit_square, 11, [0, 4, 10])
+    phi = rng.random(11) - 0.5
+    x = rng.random((7, 2))
+    a = softmin(cost, with_zeros, phi, eps, x)
+    b = softmin(cost, dropped, phi[keep], eps, x)
+    assert np.max(np.abs(a - b)) <= 1e-13
+
+
+@pytest.mark.parametrize("eps", [1e-2, 0.3])
+def test_solve_zero_weight_atoms_match_dropped(unit_square, eps):
+    rng = np.random.default_rng(23)
+    cost = AbsDistance(unit_square)
+    cfg = SinkhornConfig(epsilon=eps)
+    mu0, mu, keep_mu = _with_zero_weight_atoms(rng, unit_square, 10, [2, 7])
+    nu0, nu, keep_nu = _with_zero_weight_atoms(rng, unit_square, 9, [0, 8])
+    # the alternating cross problem and the averaged self problem
+    cases = [((mu0, nu0), (mu, nu), keep_mu, keep_nu), ((mu0, mu0), (mu, mu), keep_mu, keep_mu)]
+    for with_zeros, dropped, ka, kb in cases:
+        full = solve(cost, *with_zeros, cfg)
+        small = solve(cost, *dropped, cfg)
+        assert full.converged and small.converged
+        assert full.value == pytest.approx(small.value, abs=1e-10)
+        assert np.max(np.abs(full.potentials.phi[ka] - small.potentials.phi)) <= 1e-9
+        assert np.max(np.abs(full.potentials.psi[kb] - small.potentials.psi)) <= 1e-9
+        # the atoms without mass carry none of the plan
+        assert np.all(full.plan.matrix[~ka] == 0.0)
+        assert np.all(full.plan.matrix[:, ~kb] == 0.0)
+        # potentials agree to the stopping tolerance, the plan to that over eps
+        assert np.max(np.abs(full.plan.matrix[np.ix_(ka, kb)] - small.plan.matrix)) <= 1e-8
 
 
 def test_softmin_infinite_epsilon_is_large_epsilon_limit(unit_square):
