@@ -30,8 +30,8 @@ from .errors import ConfigError, SinkdivError
 from .exact_ot import exact_ot
 from .fileio import atomic_write_text
 from .kernels import NegatedKernel, cost_from_spec, kernel_for_cost, kernel_from_spec
-from .measures import BoundingBox, load_measure, save_potential
-from .sinkhorn import SinkhornConfig, extend_potentials, ot_infinity, solve
+from .measures import BoundingBox, load_measure, save_potential, validate
+from .sinkhorn import SinkhornConfig, extend_potentials, solve
 
 _COMPUTE_KINDS = {"ot_exact", "ot_eps", "s_eps", "discrepancy", "s_inf"}
 
@@ -107,6 +107,16 @@ def _box_from(config) -> BoundingBox:
         raise ConfigError(f"invalid box: {exc}") from exc
 
 
+def _measure_from(config, key: str, box: BoundingBox):
+    """The measure in the file named by config entry `key`, checked against the box."""
+    path = _require(config, key)
+    measure = load_measure(path)
+    try:
+        return validate(measure, box)
+    except SinkdivError as exc:
+        raise type(exc)(f"measure {key!r} in {path}: {exc}") from exc
+
+
 def _coerce(key: str, value, kind: type):
     """value as an instance of kind (bool, int or float); ConfigError naming key otherwise."""
     if kind is bool:
@@ -170,8 +180,8 @@ def cmd_compute(config: dict, allow_partial: bool) -> int:
     if not isinstance(kind, str) or kind not in _COMPUTE_KINDS:
         raise ConfigError(f"unknown kind {kind!r}, expected one of {sorted(_COMPUTE_KINDS)}")
     box = _box_from(config)
-    mu = load_measure(_require(config, "mu"))
-    nu = load_measure(_require(config, "nu"))
+    mu = _measure_from(config, "mu", box)
+    nu = _measure_from(config, "nu", box)
 
     status = 0
     if kind == "discrepancy":
@@ -222,8 +232,8 @@ def cmd_compute(config: dict, allow_partial: bool) -> int:
 def cmd_sweep(config: dict, allow_partial: bool) -> int:
     _validate_keys("sweep", config)
     box = _box_from(config)
-    mu = load_measure(_require(config, "mu"))
-    nu = load_measure(_require(config, "nu"))
+    mu = _measure_from(config, "mu", box)
+    nu = _measure_from(config, "nu", box)
     cost = _from_spec(config, "cost", cost_from_spec, box)
     try:
         epsilons = sweep_epsilons(config.get("epsilons"))
@@ -240,7 +250,7 @@ def cmd_sweep(config: dict, allow_partial: bool) -> int:
 def cmd_dither(config: dict, allow_partial: bool) -> int:
     _validate_keys("dither", config)
     box = _box_from(config)
-    target = load_measure(_require(config, "target"))
+    target = _measure_from(config, "target", box)
     cost = _from_spec(config, "cost", cost_from_spec, box)
     cfg = _dataclass_config(
         DitherConfig,
@@ -274,20 +284,15 @@ def cmd_dither(config: dict, allow_partial: bool) -> int:
 def cmd_potentials(config: dict, allow_partial: bool) -> int:
     _validate_keys("potentials", config)
     box = _box_from(config)
-    mu = load_measure(_require(config, "mu"))
-    nu = load_measure(_require(config, "nu"))
+    mu = _measure_from(config, "mu", box)
+    nu = _measure_from(config, "nu", box)
     cost = _from_spec(config, "cost", cost_from_spec, box)
     epsilon = _epsilon_from(config)
     grid = box.grid(_coerce("grid_points_per_axis", config.get("grid_points_per_axis", 64), int))
 
-    status = 0
-    if math.isinf(epsilon):
-        pair = ot_infinity(cost, mu, nu).potentials
-    else:
-        solution = solve(cost, mu, nu, _dataclass_config(SinkhornConfig, config, epsilon=epsilon))
-        if not solution.converged and not allow_partial:
-            status = 2
-        pair = solution.potentials
+    solution = solve(cost, mu, nu, _dataclass_config(SinkhornConfig, config, epsilon=epsilon))
+    status = 0 if solution.converged or allow_partial else 2
+    pair = solution.potentials
     phi_grid, psi_grid = extend_potentials(cost, mu, nu, pair, grid)
 
     save_potential(_require(config, "output_phi"), mu.points, pair.phi)

@@ -4,18 +4,16 @@ Minimizes the Sinkhorn divergence between the target and the empirical
 measure of the atom positions, using projected gradient descent with Armijo
 backtracking onto the bounding box. The gradient is the envelope gradient
 through the optimal plans; at infinite regularization those are the
-independent couplings, and the objective is half the squared discrepancy.
+independent couplings, and for a kernel-backed cost the objective is half the
+squared discrepancy.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrepancy import halftoning_energy
-from .errors import NotNegatedKernelError
 from .kernels import (
     AbsDistance,
     Cost,
@@ -33,10 +31,11 @@ from .sinkhorn import SinkhornConfig, solve
 class DitherConfig:
     """Configuration of one dithering run.
 
-    epsilon may be math.inf for the pure-discrepancy objective. Costs with a
-    distance kink at coincident points are replaced by the smoothed
-    negative-distance kernel (width `smoothing`) at resolution time, since the
-    line search needs a gradient everywhere.
+    epsilon may be infinite, where the objective is the limit of S_eps: half
+    the squared discrepancy for a kernel-backed cost (c = -K), and defined for
+    any cost. Costs with a distance kink at coincident points are replaced by
+    the smoothed negative-distance kernel (width `smoothing`) at resolution
+    time, since the line search needs a gradient everywhere.
     """
 
     M: int
@@ -55,8 +54,11 @@ class DitherConfig:
     def __post_init__(self):
         if self.M < 1:
             raise ValueError("M must be >= 1")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive (math.inf allowed)")
+        # written so that NaN fails too
+        if not self.epsilon > 0:
+            raise ValueError("epsilon must be positive (infinity allowed)")
+        if not self.inner_tol > 0:
+            raise ValueError("inner_tol must be positive")
         # a factor of 1 or more never shrinks the step, so the line search
         # would not end; a negative Armijo constant accepts energy increases
         if not 0.0 < self.backtrack < 1.0:
@@ -110,8 +112,9 @@ def _inner_config(cfg: DitherConfig) -> SinkhornConfig:
 def objective(cfg: DitherConfig, target: DiscreteMeasure, positions) -> float:
     """S_eps(target, nu_p) for the uniform measure nu_p on the positions.
 
-    At infinite regularization this is half the squared discrepancy, target
-    self-term included, so both branches measure the same functional.
+    At infinite regularization this is the limit of S_eps, which for a
+    kernel-backed cost is half the squared discrepancy, target self-term
+    included.
     """
     return _Run(cfg, target).energy_and_plans(np.asarray(positions, dtype=float))[0]
 
@@ -150,32 +153,14 @@ class _Run:
     def __init__(self, cfg: DitherConfig, target: DiscreteMeasure):
         self.cost = resolve_cost(cfg)
         self.target = target
-        self.finite = not math.isinf(cfg.epsilon)
-        # target_term = -OT_eps(target, target) / 2, constant in the positions
-        if self.finite:
-            self.inner = _inner_config(cfg)
-            self.target_term = -0.5 * solve(self.cost, target, target, self.inner).value
-            self.psi_cross = None
-            self.phi_self = None
-        else:
-            if not isinstance(self.cost, NegatedKernel):
-                raise NotNegatedKernelError(
-                    "the infinite-regularization objective requires a kernel-backed cost"
-                )
-            self.kernel = self.cost.kernel
-            gram_tt = self.kernel.gram(target.points, target.points)
-            self.target_term = 0.5 * float(target.weights @ gram_tt @ target.weights)
-            # the optimal plans at epsilon = inf are the independent couplings
-            self.independent_plans = (
-                np.outer(target.weights, np.full(cfg.M, 1.0 / cfg.M)),
-                np.full((cfg.M, cfg.M), 1.0 / (cfg.M * cfg.M)),
-            )
+        self.inner = _inner_config(cfg)
+        # -OT_eps(target, target) / 2, constant in the positions
+        self.target_term = -0.5 * solve(self.cost, target, target, self.inner).value
+        self.psi_cross = None
+        self.phi_self = None
 
     def energy_and_plans(self, positions: np.ndarray):
         """Energy at the positions and the optimal (cross, self) plans; warm-starts the next call."""
-        if not self.finite:
-            value = halftoning_energy(self.kernel, self.target, positions) + self.target_term
-            return value, self.independent_plans
         nu_p = uniform(positions)
         cross = solve(self.cost, self.target, nu_p, self.inner, psi0=self.psi_cross)
         self_p = solve(self.cost, nu_p, nu_p, self.inner, psi0=self.phi_self)

@@ -76,15 +76,6 @@ def s_infinity(cost: Cost, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     return 0.5 * kernel_discrepancy(cost.kernel, mu, nu).squared
 
 
-def _s_infinity_from_limits(cost: Cost, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """OT_inf combination; algebraically equal to half the squared discrepancy."""
-    return (
-        ot_infinity(cost, mu, nu).ot_inf
-        - 0.5 * ot_infinity(cost, mu, mu).ot_inf
-        - 0.5 * ot_infinity(cost, nu, nu).ot_inf
-    )
-
-
 def witness_from_limits(
     kernel: Kernel,
     mu: DiscreteMeasure,
@@ -148,8 +139,8 @@ def epsilon_sweep(
     """One record per regularization value from independent cold solves.
 
     The records carry the sup distance of the normalized potentials to their
-    infinite-regularization limits; a terminal epsilon = inf record is built
-    from the limit formulas (discrepancy path for kernel-backed costs).
+    infinite-regularization limits; the terminal epsilon = inf record is the
+    same computation at the limit, where the solves return the limit formulas.
     Non-converged solves are flagged per record and the sweep continues.
     """
     eps_values = sweep_epsilons(epsilons)
@@ -157,7 +148,7 @@ def epsilon_sweep(
 
     limits = ot_infinity(cost, mu, nu)
     records = []
-    for eps in eps_values:
+    for eps in [*eps_values, math.inf]:
         cfg_eps = replace(template, epsilon=float(eps), normalize=True)
         cross = solve(cost, mu, nu, cfg_eps)
         div = _divergence_from_cross(cost, mu, nu, cfg_eps, cross)
@@ -172,22 +163,6 @@ def epsilon_sweep(
                 converged=div.converged,
             )
         )
-
-    if isinstance(cost, NegatedKernel):
-        s_inf = s_infinity(cost, mu, nu)
-    else:
-        s_inf = _s_infinity_from_limits(cost, mu, nu)
-    records.append(
-        SweepRecord(
-            epsilon=math.inf,
-            ot_eps=limits.ot_inf,
-            s_eps=s_inf,
-            phi_dist_to_inf=0.0,
-            psi_dist_to_inf=0.0,
-            iterations=0,
-            converged=True,
-        )
-    )
     return records
 
 

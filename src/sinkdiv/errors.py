@@ -17,6 +17,10 @@ class NonFiniteValueError(SinkdivError):
     """A measure carries a NaN or infinite point coordinate or weight."""
 
 
+class MeasureFileError(SinkdivError):
+    """A line of a measure file is not a row of numbers of the file's width."""
+
+
 class WeightSumDeviationError(SinkdivError):
     """Measure weights do not sum to one within tolerance."""
 

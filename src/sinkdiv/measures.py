@@ -13,9 +13,11 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    MeasureFileError,
     NegativeWeightError,
     NonFiniteValueError,
     PointOutsideBoxError,
+    SinkdivError,
     SupportMismatchError,
     WeightSumDeviationError,
     ZeroMassError,
@@ -173,8 +175,13 @@ def validate(m: DiscreteMeasure, box: BoundingBox) -> DiscreteMeasure:
     total = _sequential_sum(m.weights)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise WeightSumDeviationError(f"weights sum to {total!r}, deviation > {WEIGHT_SUM_TOL}")
-    if not (np.all(m.points >= box.lower) and np.all(m.points <= box.upper)):
-        raise PointOutsideBoxError("some support point lies outside the box")
+    outside = np.flatnonzero(np.any((m.points < box.lower) | (m.points > box.upper), axis=1))
+    if outside.size:
+        i = int(outside[0])
+        raise PointOutsideBoxError(
+            f"atom {i} at {m.points[i].tolist()} lies outside the box "
+            f"[{box.lower.tolist()}, {box.upper.tolist()}]"
+        )
     return m
 
 
@@ -252,31 +259,47 @@ def _format_float(x: float) -> str:
 
 
 def load_table(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read the raw (values, points) columns of a measure-format file."""
+    """Read the raw (values, points) columns of a measure-format file.
+
+    A field that is not a number, or a line without a coordinate or with a
+    field count other than the first atom line's, raises MeasureFileError
+    naming <path>:<line>.
+    """
     values = []
     rows = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(",")
-            values.append(float(parts[0]))
-            rows.append([float(p) for p in parts[1:]])
+            try:
+                fields = [float(p) for p in line.split(",")]
+            except ValueError:
+                raise MeasureFileError(
+                    f"{path}:{number}: {line!r} is not a row of numbers"
+                ) from None
+            # a weight and at least one coordinate; later lines match the first
+            expected = len(rows[0]) + 1 if rows else max(len(fields), 2)
+            if len(fields) != expected:
+                raise MeasureFileError(f"{path}:{number}: {len(fields)} fields, expected {expected}")
+            values.append(fields[0])
+            rows.append(fields[1:])
     if not rows:
         raise ZeroMassError(f"no atoms found in {path}")
     return np.array(values), np.array(rows)
 
 
 def load_measure(path) -> DiscreteMeasure:
-    """Read a measure file; weights are renormalized on load."""
+    """Read a measure file; weights are renormalized on load.
+
+    An invalid weight (negative, non-finite, zero total) raises the error of
+    DiscreteMeasure.normalized with the path added.
+    """
     w, pts = load_table(path)
-    if np.any(w < 0):
-        raise NegativeWeightError(f"negative weight in {path}")
     try:
         return DiscreteMeasure.normalized(pts, w)
-    except NonFiniteValueError as exc:
-        raise NonFiniteValueError(f"{exc} in {path}") from exc
+    except SinkdivError as exc:
+        raise type(exc)(f"{exc} in {path}") from exc
 
 
 def save_measure(path, m: DiscreteMeasure, header: str | None = None):

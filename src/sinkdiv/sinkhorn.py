@@ -28,9 +28,10 @@ from .measures import BoundingBox, DiscreteMeasure, _as_points
 class SinkhornConfig:
     """Solver configuration.
 
-    tol bounds the oscillation norm (half of max minus min) of successive
-    updates of the second potential; normalize pins the additive constant so
-    that sum_i phi_i mu_i equals half the independent-coupling cost.
+    epsilon may be math.inf, the independent-coupling limit. tol bounds the
+    oscillation norm (half of max minus min) of successive updates of the
+    second potential; normalize pins the additive constant so that
+    sum_i phi_i mu_i equals half the independent-coupling cost.
     """
 
     epsilon: float
@@ -39,9 +40,10 @@ class SinkhornConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        # written so that NaN fails too
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
 
 
@@ -275,8 +277,25 @@ def solve(
     update phi <- (phi + T_mu(phi)) / 2, whose plain alternation can oscillate
     between the two symmetric potentials. Hitting max_iter returns the best
     iterate flagged converged=False rather than aborting.
+
+    epsilon = math.inf returns the limit solution without iterating: the value
+    and potentials of ot_infinity (already normalized, so psi0 and normalize
+    have no effect) and the independent coupling as the plan.
     """
     eps = cfg.epsilon
+    if math.isinf(eps):
+        limits = ot_infinity(cost, mu, nu)
+        return SinkhornSolution(
+            potentials=limits.potentials,
+            value=limits.ot_inf,
+            plan=TransportPlan(matrix=np.outer(mu.weights, nu.weights), mu=mu, nu=nu),
+            iterations=0,
+            final_residual=0.0,
+            duality_gap=0.0,
+            converged=True,
+            kappa=0.0,
+            residual_history=np.array([]),
+        )
     c_matrix = cost.matrix(mu.points, nu.points)
     w_mu, w_nu = mu.weights, nu.weights
     phi, psi, iterations, residuals, converged = _fixed_point(c_matrix, mu, nu, cfg, psi0)

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sinkdiv import AbsDistance, BoundingBox, load_measure, ot_infinity
 from sinkdiv.cli import main
 from sinkdiv.measures import load_table
 
@@ -71,6 +72,26 @@ def test_compute_s_inf_vs_discrepancy_identity(tmp_path, toy_files, capsys):
     assert main(["compute", "--config", str(cfg_s)]) == 0
     s_value = json.loads(capsys.readouterr().out)["value"]
     assert s_value == pytest.approx(0.5 * d_value**2, abs=1e-12)
+
+def test_compute_infinite_epsilon_is_the_limit(tmp_path, toy_files, capsys):
+    mu, nu = toy_files
+    base = {"mu": str(mu), "nu": str(nu), "box": BOX_1D}
+    kernel = {"variant": "Gaussian", "params": {"c": 0.5}}
+
+    def compute(name, payload):
+        assert main(["compute", "--config", str(write_config(tmp_path, payload, name))]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    out = compute("ot.json", {**base, "kind": "ot_eps", "cost": ABS_COST, "epsilon": "inf"})
+    box = BoundingBox(np.array([0.0]), np.array([1.0]))
+    assert out["value"] == ot_infinity(AbsDistance(box), load_measure(mu), load_measure(nu)).ot_inf
+    assert out["diagnostics"]["iterations"] == 0 and out["diagnostics"]["converged"]
+
+    s_eps = compute("s_eps.json", {**base, "kind": "s_eps", "epsilon": "inf", "cost": {
+        "variant": "NegatedKernel", "params": {"kernel": kernel}}})["value"]
+    s_inf = compute("s_inf.json", {**base, "kind": "s_inf", "kernel": kernel})["value"]
+    assert s_eps == pytest.approx(s_inf, abs=1e-12)
+    assert s_inf > 1e-3
 
 def test_compute_writes_output_file(tmp_path, toy_files):
     mu, nu = toy_files
@@ -154,9 +175,11 @@ def _base_config(tmp_path, command, mu, nu):
     ("potentials", "grid_points_per_axis=abc", "grid_points_per_axis"),
     # values the configuration dataclass rejects
     ("compute", "tol=-1", "tol"),
+    ("compute", "tol=NaN", "tol"),
     ("dither", "M=0", "M"),
     ("dither", "backtrack=1.0", "backtrack"),
     ("dither", "sufficient_decrease=-0.5", "sufficient_decrease"),
+    ("dither", "inner_tol=NaN", "inner_tol"),
     ("compute", "epsilon=NaN", "epsilon"),
     ("compute", "kind=[1]", "kind"),
     ("sweep", "epsilons=[1.0,0.5]", "epsilons"),
@@ -188,6 +211,56 @@ def test_non_finite_measure_file_exits_one_naming_file(tmp_path, toy_files, caps
     err = capsys.readouterr().err
     assert err.startswith("error: non-finite")
     assert str(bad) in err
+
+def _measure_key(command):
+    return "target" if command == "dither" else "nu"
+
+@pytest.mark.parametrize("line", ["0.5,0.9,0.3", "abc,0.9", "0.5,0.9x", "0.5"])
+@pytest.mark.parametrize("command", ["compute", "sweep", "dither", "potentials"])
+def test_malformed_measure_file_exits_one_naming_file_and_line(tmp_path, toy_files, capsys,
+                                                               command, line):
+    mu, nu = toy_files
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"# header\n0.5,0.1\n{line}\n")
+    cfg = write_config(tmp_path, _base_config(tmp_path, command, mu, nu))
+    assert main([command, "--config", str(cfg), "--set", f"{_measure_key(command)}={bad}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{bad}:3" in err
+    assert "Traceback" not in err
+
+@pytest.mark.parametrize("lines, message", [
+    ("0.5,0.1\n-0.5,0.9", "min weight"),
+    ("0,0.1\n0,0.9", "sum to zero"),
+])
+def test_invalid_weights_exit_one_naming_file(tmp_path, toy_files, capsys, lines, message):
+    mu, nu = toy_files
+    bad = tmp_path / "bad.txt"
+    bad.write_text(lines + "\n")
+    cfg = write_config(tmp_path, _base_config(tmp_path, "compute", mu, nu))
+    assert main(["compute", "--config", str(cfg), "--set", f"nu={bad}"]) == 1
+    err = capsys.readouterr().err
+    assert message in err and str(bad) in err
+
+@pytest.mark.parametrize("lines, message", [
+    # an atom outside the box [0, 1]
+    ("0.5,0.1\n0.5,5.0", "outside the box"),
+    ("0.5,0.1\n0.5,-1e-9", "outside the box"),
+    # two-dimensional atoms under a one-dimensional box
+    ("0.5,0.1,0.2\n0.5,0.3,0.4", "dimension"),
+])
+@pytest.mark.parametrize("command", ["compute", "sweep", "dither", "potentials"])
+def test_measure_outside_box_exits_one_naming_key_and_file(tmp_path, toy_files, capsys,
+                                                            command, lines, message):
+    mu, nu = toy_files
+    bad = tmp_path / "bad.txt"
+    bad.write_text(lines + "\n")
+    key = _measure_key(command)
+    cfg = write_config(tmp_path, _base_config(tmp_path, command, mu, nu))
+    assert main([command, "--config", str(cfg), "--set", f"{key}={bad}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"'{key}'" in err and str(bad) in err and message in err
 
 def test_kernel_spec_error_names_key(tmp_path, toy_files, capsys):
     mu, nu = toy_files

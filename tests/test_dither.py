@@ -9,6 +9,7 @@ from sinkdiv import (
     BoundingBox,
     DiscreteMeasure,
     NegatedKernel,
+    PowerDistance,
     SinkhornConfig,
     SmoothedNegativeDistance,
     discrepancy,
@@ -64,6 +65,11 @@ def test_smooth_cost_kept(square):
 def test_line_search_constants_outside_unit_interval_rejected(square, key, value):
     with pytest.raises(ValueError, match=key):
         DitherConfig(M=2, epsilon=1.0, cost=AbsDistance(square), **{key: value})
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+def test_epsilon_non_positive_or_nan_rejected(square, value):
+    with pytest.raises(ValueError, match="epsilon"):
+        DitherConfig(M=2, epsilon=value, cost=AbsDistance(square))
 
 def test_line_search_constants_inside_unit_interval_accepted(square):
     cfg = DitherConfig(M=2, epsilon=1.0, cost=AbsDistance(square), backtrack=0.9,
@@ -184,6 +190,19 @@ def test_energy_trace_monotone(square):
     energies = [rec["energy"] for rec in state.trace]
     assert all(b <= a + 1e-14 for a, b in zip(energies, energies[1:]))
     assert state.energy == energies[-1]
+
+def test_infinite_epsilon_descent_with_non_kernel_cost(square):
+    # for c = |x - y|^2 the limit of S_eps is the squared distance of the means
+    density = lambda x: math.exp(-9.0 * float(x @ x) / 2.0)
+    target = sample_grid_density(density, square, 10)
+    cfg = DitherConfig(M=4, epsilon=math.inf, cost=PowerDistance(square, p=2.0), seed=4,
+                       max_outer_iter=20)
+    state = dither(cfg, target)
+    energies = [rec["energy"] for rec in state.trace]
+    assert all(b <= a + 1e-14 for a, b in zip(energies, energies[1:]))
+    mean_gap = target.weights @ target.points - state.positions.mean(axis=0)
+    assert state.energy == pytest.approx(float(mean_gap @ mean_gap), abs=1e-12)
+    assert state.energy < 1e-3 * energies[0]
 
 def test_finite_epsilon_descent(square):
     density = lambda x: math.exp(-9.0 * float(x @ x) / 2.0)

@@ -407,3 +407,10 @@ def test_half_step_range_bound(unit_box):
     hi = np.max(c_block - phi[None, :], axis=1)
     assert np.all(out >= lo - 1e-12)
     assert np.all(out <= hi + 1e-12)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("field", ["epsilon", "tol"])
+def test_config_rejects_non_positive_and_nan(field, value):
+    with pytest.raises(ValueError, match=field):
+        SinkhornConfig(**{"epsilon": 1.0, field: value})
