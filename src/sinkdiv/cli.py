@@ -165,8 +165,26 @@ def _from_spec(config, key: str, build, box: BoundingBox):
         raise ConfigError(f"invalid {key!r}: {exc!r}") from exc
 
 
+def _json_value(value):
+    """value with each non-finite float spelled "inf", "-inf" or "nan".
+
+    RFC 8259 has no literal for them; "inf" is also how configs spell an
+    infinite epsilon.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(float(value))
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    return value
+
+
+def _json_text(payload, **kwargs) -> str:
+    # allow_nan=False: a non-finite value that slips past _json_value raises
+    return json.dumps(_json_value(payload), allow_nan=False, sort_keys=True, **kwargs)
+
+
 def _emit_json(config, payload: dict):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = _json_text(payload, indent=2) + "\n"
     out = config.get("output")
     if out:
         atomic_write_text(out, text)
@@ -263,20 +281,15 @@ def cmd_dither(config: dict, allow_partial: bool) -> int:
 
     weights = np.full(cfg.M, 1.0 / cfg.M)
     save_potential(_require(config, "output_positions"), state.positions, weights)
-    trace_lines = [json.dumps(entry, sort_keys=True) for entry in state.trace]
+    trace_lines = [_json_text(entry) for entry in state.trace]
     atomic_write_text(_require(config, "output_trace"), "\n".join(trace_lines) + "\n")
-    sys.stdout.write(
-        json.dumps(
-            {
-                "converged": state.converged,
-                "energy": state.energy,
-                "iterations": state.trace[-1]["iter"],
-                "line_search_failed": state.line_search_failed,
-            },
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    summary = {
+        "converged": state.converged,
+        "energy": state.energy,
+        "iterations": state.trace[-1]["iter"],
+        "line_search_failed": state.line_search_failed,
+    }
+    sys.stdout.write(_json_text(summary) + "\n")
     # unmet gradient tolerance is reported in the JSON, not via the exit code
     return 0
 

@@ -59,6 +59,12 @@ class DitherConfig:
             raise ValueError("epsilon must be positive (infinity allowed)")
         if not self.inner_tol > 0:
             raise ValueError("inner_tol must be positive")
+        if not self.grad_tol >= 0:
+            raise ValueError(f"grad_tol must be >= 0, got {self.grad_tol}")
+        # a NaN first step fails the line search at once; an infinite one
+        # never shrinks under backtracking
+        if not 0.0 < self.initial_step < float("inf"):
+            raise ValueError(f"initial_step must be finite and positive, got {self.initial_step}")
         # a factor of 1 or more never shrinks the step, so the line search
         # would not end; a negative Armijo constant accepts energy increases
         if not 0.0 < self.backtrack < 1.0:

@@ -1,4 +1,4 @@
-"""Log-domain Sinkhorn solver for entropically regularized optimal transport.
+"""Sinkhorn solver for entropically regularized optimal transport.
 
 The softmin half-step, the alternating fixed-point iteration with an
 oscillation-norm stopping rule, potential normalization, value/plan/gap
@@ -6,11 +6,22 @@ extraction, contraction diagnostics, and the infinite-regularization limit
 objects. All exponentials are max-shifted; nothing overflows at either
 extreme of the regularization parameter.
 
-A half-step works on K = -C/eps, built once per solve (plus one contiguous
-transpose for the alternating update), and on g = phi/eps + log w, which
+A solve works on K = -C/eps, built once, and on g = phi/eps + log w, which
 folds the weights into the potential: log 0 = -inf, so zero-weight atoms drop
-out of the sum without a mask. Its n x m passes run in one preallocated
-scratch buffer.
+out of the sum without a mask. Its half-steps take one of two forms, chosen
+per solve by the span max K - min K:
+
+- span <= _GIBBS_MAX_SPAN (moderate eps): K is overwritten by the Gibbs
+  kernel G = exp(K - max K), and a half-step is one matrix-vector product,
+  -eps (max K + max g + log(G exp(g - max g))), the classical scaling form
+  in log coordinates;
+- otherwise (small eps, where G would underflow): the log-domain form, a
+  max-shifted log-sum-exp per row, whose n x m passes run in one
+  preallocated scratch buffer (plus one contiguous transpose of K for the
+  alternating update).
+
+Both forms feed the same iteration and give the same iterates up to
+rounding.
 """
 from __future__ import annotations
 
@@ -112,6 +123,15 @@ def _log_weights(weights: np.ndarray) -> np.ndarray:
         return np.log(weights)
 
 
+# Largest span max K - min K of K = -C/eps on which the half-steps run as
+# products with G = exp(K - max K). Every entry of G lies in [exp(-span), 1]
+# and the shifted weights exp(g - max g) reach 1, so each row or column sum
+# is at least exp(-500) ~ 7e-218, a normal float64 (the smallest is
+# ~2.2e-308 ~ exp(-708)). A term that underflows is below exp(-208) of that
+# sum, for any potential or weight, and the logarithm never sees 0.
+_GIBBS_MAX_SPAN = 500.0
+
+
 def _softmin_core(k_block: np.ndarray, g: np.ndarray, epsilon: float, out: np.ndarray) -> np.ndarray:
     """-eps log sum_j exp(k_qj + g_j) for each query row q.
 
@@ -205,23 +225,72 @@ def _is_self_problem(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
     )
 
 
+def _gibbs_half_steps(k_matrix: np.ndarray, k_max: float, eps: float):
+    """Row and column half-steps as products with G = exp(K - k_max).
+
+    K becomes G in place. Each step takes g = potential/eps + log w over the
+    reduced axis and returns -eps log sum exp(K + g) along it, one gemv with
+    no n x m temporary.
+    """
+    gibbs = np.exp(np.subtract(k_matrix, k_max, out=k_matrix), out=k_matrix)
+
+    def rows(g):
+        top = np.max(g)
+        return -eps * (k_max + top + np.log(gibbs @ np.exp(g - top)))
+
+    def columns(g):
+        top = np.max(g)
+        return -eps * (k_max + top + np.log(np.exp(g - top) @ gibbs))
+
+    return rows, columns
+
+
+def _log_half_steps(k_matrix: np.ndarray, eps: float, with_columns: bool):
+    """Row and column half-steps as max-shifted log-sum-exps over K.
+
+    The columns step (None unless asked for) reduces over rows of K; a
+    contiguous transpose keeps its reads sequential, and one scratch buffer
+    serves both shapes.
+    """
+    scratch = np.empty_like(k_matrix)
+
+    def rows(g):
+        return _softmin_core(k_matrix, g, eps, scratch)
+
+    if not with_columns:
+        return rows, None
+    k_transposed = np.ascontiguousarray(k_matrix.T)
+    scratch_transposed = scratch.reshape(k_transposed.shape)
+
+    def columns(g):
+        return _softmin_core(k_transposed, g, eps, scratch_transposed)
+
+    return rows, columns
+
+
 def _fixed_point(c_matrix, mu, nu, cfg, psi0):
     """Iterate the half-steps; returns phi, psi, iterations, residuals, converged.
 
-    K, its transpose and the scratch buffer live only in this frame, so they
-    are released before the caller extracts the plan.
+    K and whatever the half-steps build from it live only in this frame, so
+    they are released before the caller extracts the plan.
     """
     eps = cfg.epsilon
     k_matrix = c_matrix / -eps
-    scratch = np.empty_like(k_matrix)
+    k_max = float(np.max(k_matrix))
+    self_problem = _is_self_problem(mu, nu)
+    # a NaN span fails the test and keeps the log domain
+    if k_max - float(np.min(k_matrix)) <= _GIBBS_MAX_SPAN:
+        rows, columns = _gibbs_half_steps(k_matrix, k_max, eps)
+    else:
+        rows, columns = _log_half_steps(k_matrix, eps, with_columns=not self_problem)
     log_w_mu = _log_weights(mu.weights)
 
     residuals = []
     converged = False
     iterations = 0
-    if _is_self_problem(mu, nu):
+    if self_problem:
         def half_step(potential):
-            return _softmin_core(k_matrix, potential / eps + log_w_mu, eps, scratch)
+            return rows(potential / eps + log_w_mu)
 
         phi = np.zeros(len(mu)) if psi0 is None else np.asarray(psi0, dtype=float).copy()
         for iterations in range(1, cfg.max_iter + 1):
@@ -244,16 +313,12 @@ def _fixed_point(c_matrix, mu, nu, cfg, psi0):
         phi = phi - 0.25 * float(np.max(defect) + np.min(defect))
         psi = phi.copy()
     else:
-        # the psi update reduces over rows of K; a contiguous transpose keeps
-        # its reads sequential, and the scratch buffer serves both shapes
-        k_transposed = np.ascontiguousarray(k_matrix.T)
-        scratch_transposed = scratch.reshape(k_transposed.shape)
         log_w_nu = _log_weights(nu.weights)
         psi = np.zeros(len(nu)) if psi0 is None else np.asarray(psi0, dtype=float).copy()
         phi = np.zeros(len(mu))
         for iterations in range(1, cfg.max_iter + 1):
-            phi = _softmin_core(k_matrix, psi / eps + log_w_nu, eps, scratch)
-            psi_new = _softmin_core(k_transposed, phi / eps + log_w_mu, eps, scratch_transposed)
+            phi = rows(psi / eps + log_w_nu)
+            psi_new = columns(phi / eps + log_w_mu)
             res = _oscillation(psi_new - psi)
             residuals.append(res)
             psi = psi_new

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sinkdiv import AbsDistance, BoundingBox, load_measure, ot_infinity
-from sinkdiv.cli import main
+from sinkdiv.cli import _json_text, main
 from sinkdiv.measures import load_table
 
 
@@ -92,6 +92,27 @@ def test_compute_infinite_epsilon_is_the_limit(tmp_path, toy_files, capsys):
     s_inf = compute("s_inf.json", {**base, "kind": "s_inf", "kernel": kernel})["value"]
     assert s_eps == pytest.approx(s_inf, abs=1e-12)
     assert s_inf > 1e-3
+
+def _reject_constant(name):
+    raise ValueError(f"non-RFC 8259 JSON constant {name}")
+
+def test_compute_infinite_epsilon_writes_strict_json(tmp_path, toy_files, capsys):
+    # RFC 8259 has no Infinity or NaN; a non-finite float is the string "inf"
+    mu, nu = toy_files
+    cfg = write_config(tmp_path, {
+        "kind": "ot_eps", "mu": str(mu), "nu": str(nu),
+        "box": BOX_1D, "cost": ABS_COST, "epsilon": "inf",
+    })
+    assert main(["compute", "--config", str(cfg)]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert out["diagnostics"]["epsilon"] == "inf"
+    assert math.isfinite(out["value"])
+
+def test_json_text_spells_non_finite_floats():
+    payload = {"a": math.inf, "b": {"c": -math.inf, "d": np.float64("nan"), "e": 1.5}}
+    text = _json_text(payload)
+    assert json.loads(text, parse_constant=_reject_constant) == {
+        "a": "inf", "b": {"c": "-inf", "d": "nan", "e": 1.5}}
 
 def test_compute_writes_output_file(tmp_path, toy_files):
     mu, nu = toy_files
@@ -180,6 +201,10 @@ def _base_config(tmp_path, command, mu, nu):
     ("dither", "backtrack=1.0", "backtrack"),
     ("dither", "sufficient_decrease=-0.5", "sufficient_decrease"),
     ("dither", "inner_tol=NaN", "inner_tol"),
+    ("dither", "grad_tol=NaN", "grad_tol"),
+    ("dither", "grad_tol=-1", "grad_tol"),
+    ("dither", "initial_step=NaN", "initial_step"),
+    ("dither", "initial_step=0", "initial_step"),
     ("compute", "epsilon=NaN", "epsilon"),
     ("compute", "kind=[1]", "kind"),
     ("sweep", "epsilons=[1.0,0.5]", "epsilons"),

@@ -71,6 +71,20 @@ def test_epsilon_non_positive_or_nan_rejected(square, value):
     with pytest.raises(ValueError, match="epsilon"):
         DitherConfig(M=2, epsilon=value, cost=AbsDistance(square))
 
+@pytest.mark.parametrize("key, value", [
+    # NaN would never meet the gradient tolerance, so every outer step runs
+    ("grad_tol", -1e-6), ("grad_tol", math.nan),
+    # a NaN first step fails the Armijo test at once and ends the run at step 0
+    ("initial_step", 0.0), ("initial_step", -1.0), ("initial_step", math.nan),
+    ("initial_step", math.inf),
+])
+def test_step_and_gradient_tolerance_outside_range_rejected(square, key, value):
+    with pytest.raises(ValueError, match=key):
+        DitherConfig(M=2, epsilon=1.0, cost=AbsDistance(square), **{key: value})
+
+def test_zero_gradient_tolerance_accepted(square):
+    assert DitherConfig(M=2, epsilon=1.0, cost=AbsDistance(square), grad_tol=0.0).grad_tol == 0.0
+
 def test_line_search_constants_inside_unit_interval_accepted(square):
     cfg = DitherConfig(M=2, epsilon=1.0, cost=AbsDistance(square), backtrack=0.9,
                        sufficient_decrease=0.5)

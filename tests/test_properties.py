@@ -1,9 +1,9 @@
-"""Property tests of the epsilon = inf path over random small 1-D and 2-D measures."""
+"""Property tests of finite and infinite epsilon over random small 1-D and 2-D measures."""
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -13,22 +13,33 @@ from sinkdiv import (
     DiscreteMeasure,
     Gaussian,
     NegatedKernel,
+    PowerDistance,
     SinkhornConfig,
     ot_infinity,
     s_infinity,
     sinkhorn_divergence,
     solve,
 )
+from sinkdiv.sinkhorn import _is_self_problem
 
 BOXES = {dim: BoundingBox(np.zeros(dim), np.ones(dim)) for dim in (1, 2)}
 # built once: each cost precomputes its Lipschitz constant on the box
 COSTS = {
     (dim, name): cost
     for dim, box in BOXES.items()
-    for name, cost in (("abs", AbsDistance(box)), ("gauss", NegatedKernel(Gaussian(box, c=0.5))))
+    for name, cost in (
+        ("abs", AbsDistance(box)),
+        ("gauss", NegatedKernel(Gaussian(box, c=0.5))),
+        ("power2", PowerDistance(box, p=2.0)),
+    )
 }
 LIMIT = SinkhornConfig(epsilon=math.inf)
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
+# each example runs up to nine solves, some of thousands of iterations
+FINITE = settings(max_examples=20, deadline=None, database=None)
+# K = -C/eps spans up to 1-2 / eps on these boxes, so the small epsilons run
+# the log-domain half-steps and the others the Gibbs-kernel products
+EPSILONS = st.one_of(st.floats(1e-3, 3e-3), st.floats(0.01, 5.0))
 
 
 def measures(dim):
@@ -87,3 +98,44 @@ def test_divergence_at_infinity_symmetric_and_permutation_invariant(problem, dat
     mu_perm = permuted(mu, data.draw(st.permutations(range(len(mu)))))
     nu_perm = permuted(nu, data.draw(st.permutations(range(len(nu)))))
     assert s_inf_of(cost, mu_perm, nu_perm) == pytest.approx(value, abs=1e-12)
+
+
+@FINITE
+@given(problems(cost_names=("abs", "power2")), EPSILONS, st.data())
+def test_finite_epsilon_symmetric_and_permutation_invariant(problem, eps, data):
+    cost, mu, nu = problem
+    cfg = SinkhornConfig(epsilon=eps)
+    pairs = [(mu, nu), (nu, mu)]
+    # a permuted copy of mu is not recognized as mu, so for mu = nu the
+    # permuted pair would run the alternating instead of the averaged update,
+    # and the two agree only to the stopping tolerance
+    if not _is_self_problem(mu, nu):
+        pairs.append((permuted(mu, data.draw(st.permutations(range(len(mu))))),
+                      permuted(nu, data.draw(st.permutations(range(len(nu)))))))
+    # a solve that hits max_iter (eps near 1e-3 on clustered atoms) is flagged
+    # and stops short of the fixed point these properties are about
+    first = sinkhorn_divergence(cost, mu, nu, cfg)
+    assume(first.converged)
+    for a, b in pairs[1:]:
+        other = sinkhorn_divergence(cost, a, b, cfg)
+        assume(other.converged)
+        # ot_mu_nu is OT_eps(a, b)
+        assert other.ot_mu_nu == pytest.approx(first.ot_mu_nu, abs=1e-12)
+        assert other.s_eps == pytest.approx(first.s_eps, abs=1e-12)
+
+
+@FINITE
+@given(problems(cost_names=("abs", "power2")), EPSILONS)
+def test_finite_epsilon_reruns_bitwise_and_divergence_non_negative(problem, eps):
+    cost, mu, nu = problem
+    cfg = SinkhornConfig(epsilon=eps)
+    divergence = sinkhorn_divergence(cost, mu, nu, cfg)
+    # both costs have positive universal Gibbs kernels, so S_eps >= 0 at the
+    # fixed point
+    assume(divergence.converged)
+    assert divergence.s_eps >= -1e-12
+    a, b = solve(cost, mu, nu, cfg), solve(cost, mu, nu, cfg)
+    assert a.value == b.value
+    assert np.array_equal(a.potentials.phi, b.potentials.phi)
+    assert np.array_equal(a.potentials.psi, b.potentials.psi)
+    assert np.array_equal(a.plan.matrix, b.plan.matrix)

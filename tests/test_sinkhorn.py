@@ -1,5 +1,7 @@
-"""Log-domain solver: softmin, fixed point, limits, contraction, diagnostics."""
+"""Solver: softmin, Gibbs and log-domain half-steps, fixed point, limits, contraction, diagnostics."""
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +22,15 @@ from sinkdiv import (
     solve,
     uniform,
 )
-from sinkdiv.sinkhorn import _log_weights, _softmin_core, extend_potentials
+from sinkdiv import sinkhorn
+from sinkdiv.sinkhorn import (
+    _fixed_point,
+    _gibbs_half_steps,
+    _log_half_steps,
+    _log_weights,
+    _softmin_core,
+    extend_potentials,
+)
 
 from conftest import random_measure
 
@@ -110,6 +120,101 @@ def test_half_step_matches_naive_logsumexp_both_orientations(unit_square, eps):
                          scratch.reshape(k_transposed.shape))
     assert np.max(np.abs(rows - naive_rows)) <= 1e-12
     assert np.max(np.abs(cols - naive_cols)) <= 1e-12
+
+
+def _both_half_steps(c_matrix, eps):
+    # each builder owns the K it is given: the Gibbs one overwrites it with G
+    k_matrix = c_matrix / -eps
+    k_max = float(np.max(k_matrix))
+    assert k_max - float(np.min(k_matrix)) <= sinkhorn._GIBBS_MAX_SPAN
+    return _gibbs_half_steps(k_matrix.copy(), k_max, eps), _log_half_steps(k_matrix, eps, True)
+
+
+@pytest.mark.parametrize("case", ["zero_weights", "negated_gaussian", "large_eps"])
+def test_gibbs_half_steps_match_log_domain_both_orientations(unit_square, case):
+    rng = np.random.default_rng(24)
+    cost, eps = AbsDistance(unit_square), 0.05
+    mu = random_measure(rng, 13, unit_square)
+    nu = random_measure(rng, 8, unit_square)
+    if case == "zero_weights":
+        mu, _, _ = _with_zero_weight_atoms(rng, unit_square, 13, [0, 6, 12])
+        nu, _, _ = _with_zero_weight_atoms(rng, unit_square, 8, [3])
+    elif case == "negated_gaussian":
+        # c = -k is negative everywhere
+        cost = NegatedKernel(Gaussian(unit_square, c=0.4))
+    else:
+        eps = 1e3
+    phi, psi = rng.random(13) - 0.5, rng.random(8) - 0.5
+    (rows, columns), (log_rows, log_columns) = _both_half_steps(
+        cost.matrix(mu.points, nu.points), eps)
+    g_nu = psi / eps + _log_weights(nu.weights)
+    g_mu = phi / eps + _log_weights(mu.weights)
+    assert np.max(np.abs(rows(g_nu) - log_rows(g_nu))) <= 1e-12
+    assert np.max(np.abs(columns(g_mu) - log_columns(g_mu))) <= 1e-12
+
+
+def _span_problem(span):
+    # a cross and a self problem on [0, 1] whose K = -C/eps spans `span`
+    box = BoundingBox(np.array([0.0]), np.array([1.0]))
+    rng = np.random.default_rng(25)
+    mu = DiscreteMeasure.normalized(np.array([[0.0], [0.3], [0.55], [1.0]]), rng.random(4) + 0.1)
+    nu = DiscreteMeasure.normalized(np.array([[0.0], [0.2], [0.7], [0.9]]), rng.random(4) + 0.1)
+    # both cost matrices range over [0, 1]
+    return AbsDistance(box), mu, nu, SinkhornConfig(epsilon=1.0 / span)
+
+
+@pytest.mark.parametrize("span", [499.0, 501.0])
+def test_solve_either_side_of_gibbs_span_matches_log_domain(monkeypatch, span):
+    cost, mu, nu, cfg = _span_problem(span)
+    problems = [(mu, nu), (mu, mu)]
+    solutions = [solve(cost, a, b, cfg) for a, b in problems]
+    # the reference runs every solve in the log domain
+    monkeypatch.setattr(sinkhorn, "_GIBBS_MAX_SPAN", -math.inf)
+    for (a, b), sol in zip(problems, solutions):
+        ref = solve(cost, a, b, cfg)
+        assert ref.converged and sol.converged
+        assert sol.iterations == ref.iterations
+        assert sol.value == pytest.approx(ref.value, abs=1e-12)
+        assert np.max(np.abs(sol.potentials.phi - ref.potentials.phi)) <= 1e-12
+        assert np.max(np.abs(sol.potentials.psi - ref.potentials.psi)) <= 1e-12
+
+
+def test_small_epsilon_log_domain_solve_raises_no_runtime_warning(example_pair, unit_box):
+    # K = -C/eps spans 1e4, far past what G = exp(K - max K) could hold
+    mu, nu = example_pair
+    cost = AbsDistance(unit_box)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in [(mu, nu), (mu, mu)]:
+            sol = solve(cost, a, b, SinkhornConfig(epsilon=1e-4))
+            assert sol.converged and np.isfinite(sol.value)
+
+
+def test_gibbs_solve_peak_memory_within_four_cost_sized_arrays(unit_square):
+    # the peak is at plan extraction; G overwrites K, so the fixed point holds
+    # one array of the cost's size besides the cost itself
+    rng = np.random.default_rng(26)
+    n = 600
+    mu = random_measure(rng, n, unit_square)
+    nu = random_measure(rng, n, unit_square)
+    cost = AbsDistance(unit_square)
+    cfg = SinkhornConfig(epsilon=0.1, max_iter=30)
+    array_bytes = n * n * 8
+    # O(n) vectors and the allocator's bookkeeping, far below one n x n array
+    slack = array_bytes // 8
+    for a, b in [(mu, nu), (mu, mu)]:
+        c_matrix = cost.matrix(a.points, b.points)
+        tracemalloc.start()
+        try:
+            solve(cost, a, b, cfg)
+            _, solve_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            _fixed_point(c_matrix, a, b, cfg, None)
+            _, fixed_point_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert solve_peak <= 4 * array_bytes + slack
+        assert fixed_point_peak <= array_bytes + slack
 
 
 @pytest.mark.parametrize("eps", [1e-3, 0.1, 10.0])
