@@ -123,6 +123,10 @@ def _coerce(key: str, value, kind: type):
         if isinstance(value, bool):
             return value
         raise ConfigError(f"invalid {key!r}: {value!r} is not true or false")
+    # int() would truncate 1.5 to 1 and read true as 1
+    fractional = isinstance(value, float) and not value.is_integer()
+    if kind is int and (isinstance(value, bool) or fractional):
+        raise ConfigError(f"invalid {key!r}: {value!r} is not an integer")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -286,11 +290,13 @@ def cmd_dither(config: dict, allow_partial: bool) -> int:
     summary = {
         "converged": state.converged,
         "energy": state.energy,
+        "inner_unconverged": state.inner_unconverged,
         "iterations": state.trace[-1]["iter"],
         "line_search_failed": state.line_search_failed,
     }
     sys.stdout.write(_json_text(summary) + "\n")
-    # unmet gradient tolerance is reported in the JSON, not via the exit code
+    # an unmet gradient tolerance and unconverged inner solves are reported
+    # in the JSON, not via the exit code
     return 0
 
 

@@ -6,6 +6,11 @@ backtracking onto the bounding box. The gradient is the envelope gradient
 through the optimal plans; at infinite regularization those are the
 independent couplings, and for a kernel-backed cost the objective is half the
 squared discrepancy.
+
+The gradient sum_i P_ij grad_y c(x_i, y_j) is one plan-weighted contraction
+per plan (Cost.plan_grad_y), with no (n, m, d) gradient array. An energy
+evaluation keeps the two solutions, and only the accepted iterates, whose
+gradient is taken, build their dense plans.
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ from .kernels import (
     SmoothedNegativeDistance,
 )
 from .measures import DiscreteMeasure, uniform
-from .sinkhorn import SinkhornConfig, solve
+from .sinkhorn import SinkhornConfig, SinkhornSolution, solve
 
 
 @dataclass(frozen=True)
@@ -59,6 +64,14 @@ class DitherConfig:
             raise ValueError("epsilon must be positive (infinity allowed)")
         if not self.inner_tol > 0:
             raise ValueError("inner_tol must be positive")
+        # zero inner iterations would score unsolved potentials
+        if not self.inner_max_iter >= 1:
+            raise ValueError(f"inner_max_iter must be >= 1, got {self.inner_max_iter}")
+        if not self.max_outer_iter >= 0:
+            raise ValueError(f"max_outer_iter must be >= 0, got {self.max_outer_iter}")
+        # the width of the smoothed distance kernel that replaces kinked costs
+        if not 0.0 < self.smoothing < float("inf"):
+            raise ValueError(f"smoothing must be finite and positive, got {self.smoothing}")
         if not self.grad_tol >= 0:
             raise ValueError(f"grad_tol must be >= 0, got {self.grad_tol}")
         # a NaN first step fails the line search at once; an infinite one
@@ -83,6 +96,8 @@ class DitherState:
     trace: list = field(repr=False)
     converged: bool = False
     line_search_failed: bool = False
+    #: inner Sinkhorn solves (target self term included) that hit inner_max_iter
+    inner_unconverged: int = 0
 
 
 def resolve_cost(cfg: DitherConfig) -> Cost:
@@ -122,58 +137,64 @@ def objective(cfg: DitherConfig, target: DiscreteMeasure, positions) -> float:
     kernel-backed cost is half the squared discrepancy, target self-term
     included.
     """
-    return _Run(cfg, target).energy_and_plans(np.asarray(positions, dtype=float))[0]
+    return _Run(cfg, target).energy_and_solutions(np.asarray(positions, dtype=float))[0]
 
 
 def gradient(cfg: DitherConfig, target: DiscreteMeasure, positions) -> np.ndarray:
     """Gradient of the objective with respect to the atom positions, shape (M, d)."""
     run = _Run(cfg, target)
     positions = np.asarray(positions, dtype=float)
-    return _envelope_gradient(run.cost, target, positions, *run.energy_and_plans(positions)[1])
+    return _envelope_gradient(run.cost, target, positions, *run.energy_and_solutions(positions)[1])
 
 
 def _envelope_gradient(
     cost: Cost,
     target: DiscreteMeasure,
     positions: np.ndarray,
-    plan_cross: np.ndarray,
-    plan_self: np.ndarray,
+    cross: SinkhornSolution,
+    self_p: SinkhornSolution,
 ) -> np.ndarray:
     # Dual values differentiated only through the cost entries, potentials
     # held fixed at their converged values. The half on the self term cancels
     # because each position appears in both marginals of the symmetric plan.
-    grads_cross = cost.pairwise_grad_y(target.points, positions)
-    grads_self = cost.pairwise_grad_y(positions, positions)
-    # sum_i P_ij grads_ijk one coordinate at a time: several times faster
-    # than one three-index einsum, and the same bits
-    return np.stack([
-        np.einsum("ij,ij->j", plan_cross, grads_cross[:, :, k])
-        - np.einsum("ij,ij->j", plan_self, grads_self[:, :, k])
-        for k in range(positions.shape[1])
-    ], axis=1)
+    return (cost.plan_grad_y(target.points, positions, cross.plan.matrix)
+            - cost.plan_grad_y(positions, positions, self_p.plan.matrix))
 
 
 class _Run:
-    """Shared state of one dithering run: warm starts and the constant target self-term."""
+    """Shared state of one dithering run.
+
+    Warm starts, the constant target self-term, and the count of inner solves
+    that stopped at max_iter.
+    """
 
     def __init__(self, cfg: DitherConfig, target: DiscreteMeasure):
         self.cost = resolve_cost(cfg)
         self.target = target
         self.inner = _inner_config(cfg)
+        self.unconverged = 0
         # -OT_eps(target, target) / 2, constant in the positions
-        self.target_term = -0.5 * solve(self.cost, target, target, self.inner).value
+        self.target_term = -0.5 * self._solve(target, target, None).value
         self.psi_cross = None
         self.phi_self = None
 
-    def energy_and_plans(self, positions: np.ndarray):
-        """Energy at the positions and the optimal (cross, self) plans; warm-starts the next call."""
+    def _solve(self, mu, nu, psi0):
+        solution = solve(self.cost, mu, nu, self.inner, psi0=psi0)
+        self.unconverged += not solution.converged
+        return solution
+
+    def energy_and_solutions(self, positions: np.ndarray):
+        """Energy at the positions and the (cross, self) solutions; warm-starts the next call.
+
+        The solutions build their plans only when the gradient reads them.
+        """
         nu_p = uniform(positions)
-        cross = solve(self.cost, self.target, nu_p, self.inner, psi0=self.psi_cross)
-        self_p = solve(self.cost, nu_p, nu_p, self.inner, psi0=self.phi_self)
+        cross = self._solve(self.target, nu_p, self.psi_cross)
+        self_p = self._solve(nu_p, nu_p, self.phi_self)
         self.psi_cross = cross.potentials.psi
         self.phi_self = self_p.potentials.phi
         value = cross.value + self.target_term - 0.5 * self_p.value
-        return value, (cross.plan.matrix, self_p.plan.matrix)
+        return value, (cross, self_p)
 
 
 def dither(cfg: DitherConfig, target: DiscreteMeasure) -> DitherState:
@@ -189,8 +210,8 @@ def dither(cfg: DitherConfig, target: DiscreteMeasure) -> DitherState:
     positions = box.lower + rng.random((cfg.M, box.dim)) * (box.upper - box.lower)
 
     run = _Run(cfg, target)
-    energy, plans = run.energy_and_plans(positions)
-    grad = _envelope_gradient(run.cost, target, positions, *plans)
+    energy, solutions = run.energy_and_solutions(positions)
+    grad = _envelope_gradient(run.cost, target, positions, *solutions)
     grad_norm = float(np.max(np.abs(grad)))
     trace = [{"iter": 0, "energy": energy, "grad_norm": grad_norm, "step": 0.0}]
     converged = grad_norm <= cfg.grad_tol
@@ -210,7 +231,7 @@ def dither(cfg: DitherConfig, target: DiscreteMeasure) -> DitherState:
                 # projection absorbs the whole step: stationary on the boundary
                 converged = True
                 break
-            cand_energy, cand_plans = run.energy_and_plans(candidate)
+            cand_energy, cand_solutions = run.energy_and_solutions(candidate)
             decrease = float(np.sum(grad * (candidate - positions)))
             if cand_energy <= energy + cfg.sufficient_decrease * decrease:
                 accepted = True
@@ -223,7 +244,7 @@ def dither(cfg: DitherConfig, target: DiscreteMeasure) -> DitherState:
             break
         last_step = step
         positions, energy = candidate, cand_energy
-        grad = _envelope_gradient(run.cost, target, positions, *cand_plans)
+        grad = _envelope_gradient(run.cost, target, positions, *cand_solutions)
         grad_norm = float(np.max(np.abs(grad)))
         trace.append({"iter": it, "energy": energy, "grad_norm": grad_norm, "step": step})
         converged = grad_norm <= cfg.grad_tol
@@ -235,4 +256,5 @@ def dither(cfg: DitherConfig, target: DiscreteMeasure) -> DitherState:
         trace=trace,
         converged=converged,
         line_search_failed=failed,
+        inner_unconverged=run.unconverged,
     )

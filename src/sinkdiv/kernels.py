@@ -89,25 +89,39 @@ class _RadialFunction:
         y = np.asarray(y, dtype=float).ravel()
         return self.pairwise_grad_y(x[None, :], y[None, :])[0, 0]
 
-    def pairwise_grad_y(self, xs, ys) -> np.ndarray:
-        """(n, m, d) array of gradients in the second argument for all pairs."""
-        xs = _as_points(xs)
-        ys = _as_points(ys)
-        diff = ys[None, :, :] - xs[:, None, :]
-        # squared norms per coordinate: the bits of a sum over the short axis, faster
-        sq = diff[:, :, 0] * diff[:, :, 0]
-        for k in range(1, diff.shape[2]):
-            sq += diff[:, :, k] * diff[:, :, k]
-        r = np.sqrt(sq)
+    def _grad_scale(self, r: np.ndarray) -> np.ndarray:
+        """h'(r)/r, the gradient's factor on y - x, taken as 0 at r = 0.
+
+        Raises NonDifferentiablePointError at r = 0 unless smooth_at_zero.
+        """
         zero = r == 0.0
         if np.any(zero) and not self.smooth_at_zero:
             raise NonDifferentiablePointError(
                 f"{type(self).__name__} is not differentiable at coincident points"
             )
         with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(zero, 0.0, self._profile_deriv(r) / np.where(zero, 1.0, r))
+            return np.where(zero, 0.0, self._profile_deriv(r) / np.where(zero, 1.0, r))
+
+    def pairwise_grad_y(self, xs, ys) -> np.ndarray:
+        """(n, m, d) array of gradients in the second argument for all pairs."""
+        xs = _as_points(xs)
+        ys = _as_points(ys)
+        scale = self._grad_scale(pairwise_distances(xs, ys))
+        diff = ys[None, :, :] - xs[:, None, :]
         # the gradients overwrite the differences, saving one (n, m, d) array
         return np.multiply(scale[:, :, None], diff, out=diff)
+
+    def plan_grad_y(self, xs, ys, plan) -> np.ndarray:
+        """sum_i plan_ij grad_y k(xs_i, ys_j) for each j, shape (m, d).
+
+        With W = plan * h'(r)/r this is ys_j sum_i W_ij - (W^T xs)_j: one
+        n x m array and one matrix product, no (n, m, d) gradients.
+        """
+        xs = _as_points(xs)
+        ys = _as_points(ys)
+        weights = self._grad_scale(pairwise_distances(xs, ys))
+        weights *= plan
+        return ys * weights.sum(axis=0)[:, None] - weights.T @ xs
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +314,12 @@ class CpdShifted(Kernel):
         u = self.anchor[None, :]
         return self.base.pairwise_grad_y(xs, ys) - self.base.pairwise_grad_y(u, ys)
 
+    def plan_grad_y(self, xs, ys, plan) -> np.ndarray:
+        # the anchor term's gradient in y is weighted by the plan's column sums
+        u = self.anchor[None, :]
+        return (self.base.plan_grad_y(xs, ys, plan)
+                - self.base.plan_grad_y(u, ys, plan.sum(axis=0)[None, :]))
+
     def params(self):
         return {
             "base": {"variant": self.base.variant, "params": self.base.params()},
@@ -433,6 +453,9 @@ class NegatedKernel(Cost):
 
     def pairwise_grad_y(self, xs, ys) -> np.ndarray:
         return -self.kernel.pairwise_grad_y(xs, ys)
+
+    def plan_grad_y(self, xs, ys, plan) -> np.ndarray:
+        return -self.kernel.plan_grad_y(xs, ys, plan)
 
     def params(self):
         return {"kernel": {"variant": self.kernel.variant, "params": self.kernel.params()}}

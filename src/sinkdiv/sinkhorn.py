@@ -22,11 +22,18 @@ per solve by the span max K - min K:
 
 Both forms feed the same iteration and give the same iterates up to
 rounding.
+
+A solve returns the potentials and the dual value. The solution keeps the
+cost matrix the solve built, and builds the dense plan, its primal value and
+the duality gap together on first access, so callers that need only the value
+(the self terms of a divergence, rejected line-search candidates) never build
+an n x m plan.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +63,9 @@ class SinkhornConfig:
             raise ValueError("epsilon must be positive")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
+        # zero iterations would return the unsolved starting potentials
+        if not self.max_iter >= 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -92,15 +102,47 @@ class ContractionEstimate:
 
 @dataclass(frozen=True)
 class SinkhornSolution:
+    """Potentials, dual value and convergence record of one solve.
+
+    `plan` and `duality_gap` are built on first access, together, from the
+    potentials and the cost matrix the solve kept (cost_matrix; None at
+    epsilon = inf, where the plan is the independent coupling and the gap 0).
+    """
+
     potentials: PotentialPair
     value: float
-    plan: TransportPlan
     iterations: int
     final_residual: float
-    duality_gap: float
     converged: bool
     kappa: float
+    mu: DiscreteMeasure = field(repr=False)
+    nu: DiscreteMeasure = field(repr=False)
+    cost_matrix: np.ndarray | None = field(repr=False)
     residual_history: np.ndarray = field(repr=False)
+
+    @cached_property
+    def _extraction(self) -> tuple[TransportPlan, float]:
+        """The plan and the gap between its primal value and the dual value."""
+        w_mu, w_nu = self.mu.weights, self.nu.weights
+        if self.cost_matrix is None:
+            return TransportPlan(matrix=np.outer(w_mu, w_nu), mu=self.mu, nu=self.nu), 0.0
+        c_matrix, eps = self.cost_matrix, self.potentials.epsilon
+        exponent = (self.potentials.phi[:, None] + self.potentials.psi[None, :] - c_matrix) / eps
+        with np.errstate(over="ignore"):
+            plan_matrix = np.exp(exponent)
+            plan_matrix *= np.outer(w_mu, w_nu)
+        # primal value of the extracted plan; its relative-entropy term reuses
+        # the exponent, so no logarithms of tiny numbers appear
+        primal = float(np.sum(c_matrix * plan_matrix) + eps * np.sum(plan_matrix * exponent))
+        return TransportPlan(matrix=plan_matrix, mu=self.mu, nu=self.nu), abs(primal - self.value)
+
+    @property
+    def plan(self) -> TransportPlan:
+        return self._extraction[0]
+
+    @property
+    def duality_gap(self) -> float:
+        return self._extraction[1]
 
     def diagnostics(self) -> dict:
         return {
@@ -272,7 +314,7 @@ def _fixed_point(c_matrix, mu, nu, cfg, psi0):
     """Iterate the half-steps; returns phi, psi, iterations, residuals, converged.
 
     K and whatever the half-steps build from it live only in this frame, so
-    they are released before the caller extracts the plan.
+    they are released before any plan is extracted.
     """
     eps = cfg.epsilon
     k_matrix = c_matrix / -eps
@@ -346,6 +388,8 @@ def solve(
     epsilon = math.inf returns the limit solution without iterating: the value
     and potentials of ot_infinity (already normalized, so psi0 and normalize
     have no effect) and the independent coupling as the plan.
+
+    The plan and the duality gap are built only when read (SinkhornSolution).
     """
     eps = cfg.epsilon
     if math.isinf(eps):
@@ -353,12 +397,13 @@ def solve(
         return SinkhornSolution(
             potentials=limits.potentials,
             value=limits.ot_inf,
-            plan=TransportPlan(matrix=np.outer(mu.weights, nu.weights), mu=mu, nu=nu),
             iterations=0,
             final_residual=0.0,
-            duality_gap=0.0,
             converged=True,
             kappa=0.0,
+            mu=mu,
+            nu=nu,
+            cost_matrix=None,
             residual_history=np.array([]),
         )
     c_matrix = cost.matrix(mu.points, nu.points)
@@ -371,28 +416,16 @@ def solve(
         phi = phi + delta
         psi = psi - delta
 
-    value = float(phi @ w_mu + psi @ w_nu)
-    exponent = (phi[:, None] + psi[None, :] - c_matrix) / eps
-    with np.errstate(over="ignore"):
-        plan_matrix = np.exp(exponent)
-        plan_matrix *= np.outer(w_mu, w_nu)
-    plan = TransportPlan(matrix=plan_matrix, mu=mu, nu=nu)
-
-    # primal value of the extracted plan; its relative-entropy term reuses the
-    # exponent, so no logarithms of tiny numbers appear
-    primal = float(np.sum(c_matrix * plan_matrix) + eps * np.sum(plan_matrix * exponent))
-    duality_gap = abs(primal - value)
-
-    kappa = contraction_estimate(cost, cost.box, eps).kappa
     return SinkhornSolution(
         potentials=PotentialPair(phi=phi, psi=psi, epsilon=eps, normalized=cfg.normalize),
-        value=value,
-        plan=plan,
+        value=float(phi @ w_mu + psi @ w_nu),
         iterations=iterations,
         final_residual=residuals[-1] if residuals else 0.0,
-        duality_gap=duality_gap,
         converged=converged,
-        kappa=kappa,
+        kappa=contraction_estimate(cost, cost.box, eps).kappa,
+        mu=mu,
+        nu=nu,
+        cost_matrix=c_matrix,
         residual_history=np.array(residuals),
     )
 

@@ -194,6 +194,12 @@ def _base_config(tmp_path, command, mu, nu):
     ("dither", "backtrack=x", "backtrack"),
     ("dither", "M=[2]", "M"),
     ("potentials", "grid_points_per_axis=abc", "grid_points_per_axis"),
+    # int fields take integral numbers only; int() would truncate or read true as 1
+    ("dither", "M=1.5", "M"),
+    ("dither", "M=true", "M"),
+    ("compute", "max_iter=2.7", "max_iter"),
+    ("dither", "inner_max_iter=false", "inner_max_iter"),
+    ("potentials", "grid_points_per_axis=2.5", "grid_points_per_axis"),
     # values the configuration dataclass rejects
     ("compute", "tol=-1", "tol"),
     ("compute", "tol=NaN", "tol"),
@@ -205,6 +211,12 @@ def _base_config(tmp_path, command, mu, nu):
     ("dither", "grad_tol=-1", "grad_tol"),
     ("dither", "initial_step=NaN", "initial_step"),
     ("dither", "initial_step=0", "initial_step"),
+    ("compute", "max_iter=0", "max_iter"),
+    ("dither", "inner_max_iter=0", "inner_max_iter"),
+    ("dither", "max_outer_iter=-1", "max_outer_iter"),
+    ("dither", "smoothing=-1", "smoothing"),
+    ("dither", "smoothing=0", "smoothing"),
+    ("dither", "smoothing=NaN", "smoothing"),
     ("compute", "epsilon=NaN", "epsilon"),
     ("compute", "kind=[1]", "kind"),
     ("sweep", "epsilons=[1.0,0.5]", "epsilons"),
@@ -224,6 +236,16 @@ def test_bad_config_value_exits_one_naming_key(tmp_path, toy_files, capsys, comm
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert re.search(rf"\b{key}\b", err)
+
+@pytest.mark.filterwarnings("ignore:target has:UserWarning")
+@pytest.mark.parametrize("command, override", [
+    ("compute", "max_iter=50.0"),
+    ("dither", "M=2.0"),
+])
+def test_integral_float_accepted_for_int_key(tmp_path, toy_files, capsys, command, override):
+    mu, nu = toy_files
+    cfg = write_config(tmp_path, _base_config(tmp_path, command, mu, nu))
+    assert main([command, "--config", str(cfg), "--set", override]) == 0
 
 @pytest.mark.parametrize("line", ["nan,0.9", "inf,0.9", "0.5,nan", "0.5,-inf"])
 @pytest.mark.parametrize("command", ["compute", "sweep", "potentials"])
@@ -370,6 +392,7 @@ def test_dither_outputs(tmp_path, capsys):
     assert main(["dither", "--config", str(cfg)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert "converged" in summary
+    assert summary["inner_unconverged"] == 0
     weights, positions = load_table(out_pos)
     assert np.allclose(weights, 0.25)
     assert positions.shape == (4, 2)
@@ -377,6 +400,14 @@ def test_dither_outputs(tmp_path, capsys):
     energies = [t["energy"] for t in trace]
     assert all(b <= a + 1e-14 for a, b in zip(energies, energies[1:]))
     assert set(trace[0]) == {"iter", "energy", "grad_norm", "step"}
+
+@pytest.mark.filterwarnings("ignore:target has:UserWarning")
+def test_dither_reports_unconverged_inner_solves(tmp_path, toy_files, capsys):
+    mu, nu = toy_files
+    cfg = write_config(tmp_path, _base_config(tmp_path, "dither", mu, nu))
+    # one inner iteration cannot meet the inner tolerance; the exit code stays 0
+    assert main(["dither", "--config", str(cfg), "--set", "inner_max_iter=1"]) == 0
+    assert json.loads(capsys.readouterr().out)["inner_unconverged"] > 0
 
 def test_dither_idempotent(tmp_path, capsys):
     rng = np.random.default_rng(2)

@@ -82,6 +82,22 @@ def test_step_and_gradient_tolerance_outside_range_rejected(square, key, value):
     with pytest.raises(ValueError, match=key):
         DitherConfig(M=2, epsilon=1.0, cost=AbsDistance(square), **{key: value})
 
+@pytest.mark.parametrize("key, value", [
+    # zero inner iterations score unsolved potentials (a negative S_eps)
+    ("inner_max_iter", 0), ("inner_max_iter", -3),
+    ("max_outer_iter", -1),
+    # the smoothed kernel's width: SmoothedNegativeDistance raises on c <= 0
+    # and NaN reaches the solver as non-finite coordinates
+    ("smoothing", 0.0), ("smoothing", -1.0), ("smoothing", math.nan), ("smoothing", math.inf),
+])
+def test_iteration_budgets_and_smoothing_outside_range_rejected(square, key, value):
+    with pytest.raises(ValueError, match=key):
+        DitherConfig(M=2, epsilon=1.0, cost=AbsDistance(square), **{key: value})
+
+def test_zero_outer_budget_accepted(square):
+    cfg = DitherConfig(M=2, epsilon=1.0, cost=AbsDistance(square), max_outer_iter=0)
+    assert cfg.max_outer_iter == 0
+
 def test_zero_gradient_tolerance_accepted(square):
     assert DitherConfig(M=2, epsilon=1.0, cost=AbsDistance(square), grad_tol=0.0).grad_tol == 0.0
 
@@ -270,3 +286,17 @@ def test_at_convergence_gradient_below_tolerance(square):
     state = dither(cfg, target)
     assert state.converged
     assert np.max(np.abs(state.grad)) <= 1e-8
+
+def test_unconverged_inner_solves_counted(square):
+    density = lambda x: math.exp(-9.0 * float(x @ x) / 2.0)
+    target = sample_grid_density(density, square, 10)
+    cfg = DitherConfig(M=4, epsilon=0.15, cost=AbsDistance(square), seed=6,
+                       max_outer_iter=5, inner_max_iter=1)
+    assert dither(cfg, target).inner_unconverged > 0
+
+@pytest.mark.parametrize("eps", [0.15, math.inf])
+def test_default_inner_budget_converges_every_solve(square, eps):
+    density = lambda x: math.exp(-9.0 * float(x @ x) / 2.0)
+    target = sample_grid_density(density, square, 10)
+    cfg = DitherConfig(M=4, epsilon=eps, cost=AbsDistance(square), seed=6, max_outer_iter=10)
+    assert dither(cfg, target).inner_unconverged == 0

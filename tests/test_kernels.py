@@ -15,6 +15,7 @@ from sinkdiv import (
     PowerDistance,
     ShiftedNegativeDistance,
     SmoothedNegativeDistance,
+    SpectralKernel,
     WendlandPower,
     cost_from_spec,
     empirical_pd_check,
@@ -144,6 +145,66 @@ def test_pairwise_grad_matches_single(unit_square):
         for i in range(4):
             for j in range(3):
                 assert np.allclose(block[i, j], k.grad_y(xs[i], ys[j]), atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# plan-weighted gradient contraction
+# ---------------------------------------------------------------------------
+
+def _contraction_variants(box):
+    """Every kernel and cost variant, the anchor-shifted and negated wrappers included."""
+    kernels = all_kernels(box) + [CpdShifted(SmoothedNegativeDistance(box, c=0.05), box.lower)]
+    if box.dim == 1:
+        kernels.append(SpectralKernel([1.0, 0.5, 0.25], box))
+    costs = [AbsDistance(box), PowerDistance(box, p=1.0), PowerDistance(box, p=1.5),
+             PowerDistance(box, p=2.0)]
+    return kernels + costs + [NegatedKernel(k) for k in kernels]
+
+def _plan_contraction(k, xs, ys, plan):
+    return np.einsum("ij,ijk->jk", plan, k.pairwise_grad_y(xs, ys))
+
+def _assert_contraction_matches(k, xs, ys, plan):
+    ref = _plan_contraction(k, xs, ys, plan)
+    got = k.plan_grad_y(xs, ys, plan)
+    assert got.shape == ys.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), type(k).__name__
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_plan_grad_matches_pairwise_contraction(d):
+    # a box of side 2 puts some pairs beyond WendlandPower's unit support
+    box = BoundingBox(np.zeros(d), np.full(d, 2.0))
+    rng = np.random.default_rng(41 + d)
+    xs, ys = 2.0 * rng.random((9, d)), 2.0 * rng.random((6, d))
+    plan = rng.random((9, 6))
+    plan /= plan.sum()
+    for k in _contraction_variants(box):
+        _assert_contraction_matches(k, xs, ys, plan)
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_plan_grad_coincident_points(d):
+    box = BoundingBox(np.zeros(d), np.ones(d))
+    rng = np.random.default_rng(47 + d)
+    ys = rng.random((5, d))
+    # two of the xs coincide with atoms of ys
+    xs = np.vstack([rng.random((4, d)), ys[[1, 3]]])
+    plan = rng.random((6, 5))
+    for k in _contraction_variants(box):
+        if not k.smooth_at_zero:
+            with pytest.raises(NonDifferentiablePointError):
+                k.plan_grad_y(xs, ys, plan)
+            continue
+        _assert_contraction_matches(k, xs, ys, plan)
+        # a coincident pair contributes nothing (CpdShifted adds its anchor
+        # term, which is not a pair term)
+        if not isinstance(getattr(k, "kernel", k), CpdShifted):
+            assert np.array_equal(k.plan_grad_y(ys, ys, np.eye(5)), np.zeros((5, d)))
+
+def test_plan_grad_wendland_zero_beyond_support():
+    box = BoundingBox(np.zeros(2), np.full(2, 4.0))
+    k = WendlandPower(box, p=2)
+    xs = np.array([[0.0, 0.0], [0.5, 0.0]])
+    ys = np.array([[3.0, 3.0], [4.0, 0.0]])
+    assert np.array_equal(k.plan_grad_y(xs, ys, np.ones((2, 2))), np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from sinkdiv import (
     exact_ot,
     ot_infinity,
     potential_lipschitz_check,
+    sinkhorn_divergence,
     softmin,
     solve,
     uniform,
@@ -191,8 +192,9 @@ def test_small_epsilon_log_domain_solve_raises_no_runtime_warning(example_pair, 
 
 
 def test_gibbs_solve_peak_memory_within_four_cost_sized_arrays(unit_square):
-    # the peak is at plan extraction; G overwrites K, so the fixed point holds
-    # one array of the cost's size besides the cost itself
+    # the peak is at plan extraction, which reading the duality gap forces; G
+    # overwrites K, so the fixed point holds one array of the cost's size
+    # besides the cost itself
     rng = np.random.default_rng(26)
     n = 600
     mu = random_measure(rng, n, unit_square)
@@ -206,7 +208,7 @@ def test_gibbs_solve_peak_memory_within_four_cost_sized_arrays(unit_square):
         c_matrix = cost.matrix(a.points, b.points)
         tracemalloc.start()
         try:
-            solve(cost, a, b, cfg)
+            solve(cost, a, b, cfg).duality_gap
             _, solve_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             _fixed_point(c_matrix, a, b, cfg, None)
@@ -215,6 +217,77 @@ def test_gibbs_solve_peak_memory_within_four_cost_sized_arrays(unit_square):
             tracemalloc.stop()
         assert solve_peak <= 4 * array_bytes + slack
         assert fixed_point_peak <= array_bytes + slack
+
+
+def _eager_extraction(cost, mu, nu, sol):
+    """The plan and duality gap as solve built them before extraction was lazy."""
+    if math.isinf(sol.potentials.epsilon):
+        return np.outer(mu.weights, nu.weights), 0.0
+    c_matrix, eps = cost.matrix(mu.points, nu.points), sol.potentials.epsilon
+    phi, psi = sol.potentials.phi, sol.potentials.psi
+    exponent = (phi[:, None] + psi[None, :] - c_matrix) / eps
+    with np.errstate(over="ignore"):
+        plan = np.exp(exponent)
+        plan *= np.outer(mu.weights, nu.weights)
+    primal = float(np.sum(c_matrix * plan) + eps * np.sum(plan * exponent))
+    return plan, abs(primal - sol.value)
+
+@pytest.mark.parametrize("eps", [0.05, 1.0, math.inf])
+def test_lazy_plan_and_gap_bitwise_equal_to_eager_formula(unit_square, eps):
+    rng = np.random.default_rng(31)
+    mu = random_measure(rng, 30, unit_square)
+    nu = random_measure(rng, 20, unit_square)
+    cost = AbsDistance(unit_square)
+    for a, b in [(mu, nu), (mu, mu)]:
+        sol = solve(cost, a, b, SinkhornConfig(epsilon=eps))
+        plan, gap = _eager_extraction(cost, a, b, sol)
+        assert np.array_equal(sol.plan.matrix, plan)
+        assert sol.duality_gap == gap
+        # built once: the plan object is cached
+        assert sol.plan is sol.plan
+
+def test_divergence_builds_no_plan(unit_square, monkeypatch):
+    from sinkdiv import divergence
+
+    solutions = []
+
+    def recording_solve(*args, **kwargs):
+        solutions.append(solve(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(divergence, "solve", recording_solve)
+    rng = np.random.default_rng(32)
+    mu = random_measure(rng, 40, unit_square)
+    nu = random_measure(rng, 30, unit_square)
+    for eps in [0.1, math.inf]:
+        solutions.clear()
+        cfg = SinkhornConfig(epsilon=eps)
+        divergence.sinkhorn_divergence(AbsDistance(unit_square), mu, nu, cfg)
+        assert len(solutions) == 3
+        # the plan and gap are one cached extraction, absent until read
+        assert not any("_extraction" in vars(sol) for sol in solutions)
+        solutions[0].plan
+        assert "_extraction" in vars(solutions[0])
+
+def test_divergence_peak_memory_within_one_solve_and_one_plan(unit_square):
+    # one solve's budget is 4 arrays of the cost's size (the test above). Each
+    # finished term keeps its cost matrix and no plan, so the last solve's
+    # cost and G sit beside two kept matrices: about 4 arrays. Plans built
+    # eagerly would put two plans beside that solve's extraction: about 6.
+    rng = np.random.default_rng(33)
+    n = 600
+    mu = random_measure(rng, n, unit_square)
+    nu = random_measure(rng, n, unit_square)
+    cfg = SinkhornConfig(epsilon=0.1, max_iter=30)
+    array_bytes = n * n * 8
+    slack = array_bytes // 8
+    tracemalloc.start()
+    try:
+        sinkhorn_divergence(AbsDistance(unit_square), mu, nu, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (4 + 1) * array_bytes + slack
 
 
 @pytest.mark.parametrize("eps", [1e-3, 0.1, 10.0])

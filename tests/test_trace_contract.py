@@ -3,6 +3,7 @@
 perfbench/spans.py is loaded by file path and its tracer is not installed, so
 the package stays unwrapped.
 """
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -31,3 +32,12 @@ def test_traced_function_exists(module_name, attr):
 def test_traced_method_defined_on_its_class(module_name, cls_name, attr):
     cls = getattr(importlib.import_module(module_name), cls_name)
     assert attr in vars(cls)
+
+
+@pytest.mark.parametrize("name", ["iterations", "converged"])
+def test_solution_fields_read_by_solve_counts(name):
+    # _solve_counts reads these from every traced solve's result; as plain
+    # dataclass fields, reading them never builds the lazy plan
+    from sinkdiv.sinkhorn import SinkhornSolution
+
+    assert name in {f.name for f in dataclasses.fields(SinkhornSolution)}
