@@ -133,16 +133,6 @@ def _coerce(key: str, value, kind: type):
         raise ConfigError(f"invalid {key!r}: {value!r} is not {kind.__name__}") from exc
 
 
-def _epsilon_from(config, key="epsilon") -> float:
-    raw = _require(config, key)
-    if raw == "inf":
-        return math.inf
-    value = _coerce(key, raw, float)
-    if not value > 0:
-        raise ConfigError(f"{key!r} must be positive")
-    return value
-
-
 def _dataclass_config(cls, config: dict, **given):
     """cls(**given) plus the config keys that name its other fields.
 
@@ -223,27 +213,24 @@ def cmd_compute(config: dict, allow_partial: bool) -> int:
             "marginal_error": result.plan.marginal_error(),
         }
         value = result.value
-    elif kind == "ot_eps":
+    else:  # ot_eps, s_eps
         cost = _from_spec(config, "cost", cost_from_spec, box)
-        cfg = _dataclass_config(SinkhornConfig, config, epsilon=_epsilon_from(config))
-        solution = solve(cost, mu, nu, cfg)
-        value = solution.value
-        diagnostics = dict(solution.diagnostics())
-        diagnostics["converged"] = solution.converged
-        if not solution.converged and not allow_partial:
-            status = 2
-    else:  # s_eps
-        cost = _from_spec(config, "cost", cost_from_spec, box)
-        cfg = _dataclass_config(SinkhornConfig, config, epsilon=_epsilon_from(config))
-        result = sinkhorn_divergence(cost, mu, nu, cfg)
-        value = result.s_eps
-        diagnostics = {
-            "epsilon": result.epsilon,
-            "ot_mu_nu": result.ot_mu_nu,
-            "ot_mu_mu": result.ot_mu_mu,
-            "ot_nu_nu": result.ot_nu_nu,
-            "term_converged": result.term_converged,
-        }
+        epsilon = _coerce("epsilon", _require(config, "epsilon"), float)
+        cfg = _dataclass_config(SinkhornConfig, config, epsilon=epsilon)
+        if kind == "ot_eps":
+            result = solve(cost, mu, nu, cfg)
+            value = result.value
+            diagnostics = dict(result.diagnostics(), converged=result.converged)
+        else:
+            result = sinkhorn_divergence(cost, mu, nu, cfg)
+            value = result.s_eps
+            diagnostics = {
+                "epsilon": result.epsilon,
+                "ot_mu_nu": result.ot_mu_nu,
+                "ot_mu_mu": result.ot_mu_mu,
+                "ot_nu_nu": result.ot_nu_nu,
+                "term_converged": result.term_converged,
+            }
         if not result.converged and not allow_partial:
             status = 2
 
@@ -278,7 +265,7 @@ def cmd_dither(config: dict, allow_partial: bool) -> int:
         DitherConfig,
         config,
         M=_coerce("M", _require(config, "M"), int),
-        epsilon=_epsilon_from(config),
+        epsilon=_coerce("epsilon", _require(config, "epsilon"), float),
         cost=cost,
     )
     state = run_dither(cfg, target)
@@ -306,7 +293,7 @@ def cmd_potentials(config: dict, allow_partial: bool) -> int:
     mu = _measure_from(config, "mu", box)
     nu = _measure_from(config, "nu", box)
     cost = _from_spec(config, "cost", cost_from_spec, box)
-    epsilon = _epsilon_from(config)
+    epsilon = _coerce("epsilon", _require(config, "epsilon"), float)
     grid = box.grid(_coerce("grid_points_per_axis", config.get("grid_points_per_axis", 64), int))
 
     solution = solve(cost, mu, nu, _dataclass_config(SinkhornConfig, config, epsilon=epsilon))

@@ -16,9 +16,8 @@ per solve by the span max K - min K:
   -eps (max K + max g + log(G exp(g - max g))), the classical scaling form
   in log coordinates;
 - otherwise (small eps, where G would underflow): the log-domain form, a
-  max-shifted log-sum-exp per row, whose n x m passes run in one
-  preallocated scratch buffer (plus one contiguous transpose of K for the
-  alternating update).
+  max-shifted log-sum-exp along either axis of K, whose n x m passes run in
+  one preallocated scratch buffer.
 
 Both forms feed the same iteration and give the same iterates up to
 rounding.
@@ -37,6 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import DimensionMismatchError, NonFiniteValueError
 from .exact_ot import TransportPlan
 from .kernels import Cost
 from .measures import BoundingBox, DiscreteMeasure, _as_points
@@ -174,20 +174,21 @@ def _log_weights(weights: np.ndarray) -> np.ndarray:
 _GIBBS_MAX_SPAN = 500.0
 
 
-def _softmin_core(k_block: np.ndarray, g: np.ndarray, epsilon: float, out: np.ndarray) -> np.ndarray:
-    """-eps log sum_j exp(k_qj + g_j) for each query row q.
+def _log_sum_exp(k_matrix: np.ndarray, g: np.ndarray, epsilon: float, axis: int,
+                 out: np.ndarray) -> np.ndarray:
+    """-eps log sum exp(K + g) along `axis` of K, max-shifted.
 
-    k_block = -C/eps and g = phi/eps + log w, so this is the half-step
-    -eps log sum_j w_j exp((phi_j - c_qj)/eps); a zero-weight atom has
-    g_j = -inf and adds exp(-inf) = 0. Max-shifted over the exponent. Every
-    pass over the block runs in `out` (k_block's shape; k_block itself when
-    the caller no longer needs it), so nothing of that size is allocated.
+    K = -C/eps and g = potential/eps + log w runs along the reduced axis, so
+    axis 1 gives the half-step -eps log sum_j w_j exp((phi_j - c_qj)/eps) of
+    each row q; a zero-weight atom has g_j = -inf and adds exp(-inf) = 0.
+    Every pass over K runs in `out` (K's shape; K itself when the caller no
+    longer needs it), so nothing of that size is allocated.
     """
-    np.add(k_block, g, out=out)
-    row_max = np.max(out, axis=1)
-    np.subtract(out, row_max[:, None], out=out)
+    np.add(k_matrix, g if axis == 1 else g[:, None], out=out)
+    top = out.max(axis=axis, keepdims=True)
+    out -= top
     np.exp(out, out=out)
-    return -epsilon * (row_max + np.log(np.sum(out, axis=1)))
+    return -epsilon * (top.ravel() + np.log(out.sum(axis=axis)))
 
 
 def softmin(cost: Cost, m: DiscreteMeasure, phi: np.ndarray, epsilon: float, query_points) -> np.ndarray:
@@ -196,7 +197,8 @@ def softmin(cost: Cost, m: DiscreteMeasure, phi: np.ndarray, epsilon: float, que
     epsilon = math.inf gives the limit of the half-step, the m-average of
     c(x, .) - phi.
     """
-    if epsilon <= 0:
+    # written so that NaN fails too
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     pts = _as_points(query_points)
     c_block = cost.matrix(pts, m.points)
@@ -205,7 +207,7 @@ def softmin(cost: Cost, m: DiscreteMeasure, phi: np.ndarray, epsilon: float, que
         return c_block @ m.weights - phi @ m.weights
     # the block is ours: it becomes K = -C/eps and then the scratch buffer
     k_block = np.divide(c_block, -epsilon, out=c_block)
-    return _softmin_core(k_block, phi / epsilon + _log_weights(m.weights), epsilon, out=k_block)
+    return _log_sum_exp(k_block, phi / epsilon + _log_weights(m.weights), epsilon, 1, k_block)
 
 
 def ot_infinity(cost: Cost, mu: DiscreteMeasure, nu: DiscreteMeasure) -> LimitPotentials:
@@ -227,7 +229,7 @@ def ot_infinity(cost: Cost, mu: DiscreteMeasure, nu: DiscreteMeasure) -> LimitPo
 
 def contraction_estimate(cost: Cost, box: BoundingBox, epsilon: float) -> ContractionEstimate:
     """kappa = 1 - exp(-2 L diam / epsilon) for the cost's Lipschitz constant."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     kappa = 1.0 - float(np.exp(-2.0 * cost.lipschitz * box.diameter / epsilon))
     return ContractionEstimate(
@@ -267,76 +269,56 @@ def _is_self_problem(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
     )
 
 
-def _gibbs_half_steps(k_matrix: np.ndarray, k_max: float, eps: float):
-    """Row and column half-steps as products with G = exp(K - k_max).
+def _half_steps(k_matrix: np.ndarray, eps: float, log_w_mu: np.ndarray, log_w_nu: np.ndarray):
+    """The half-steps t_nu(psi) = phi and t_mu(phi) = psi over K = -C/eps.
 
-    K becomes G in place. Each step takes g = potential/eps + log w over the
-    reduced axis and returns -eps log sum exp(K + g) along it, one gemv with
-    no n x m temporary.
+    Each takes a potential and reduces exp(K + potential/eps + log w) along
+    the other measure's axis of K. The span max K - min K picks the form:
+    within _GIBBS_MAX_SPAN, K becomes G = exp(K - max K) in place and a
+    half-step is one gemv with no n x m temporary; beyond it (or on a NaN
+    span), a log-sum-exp along either axis of K in one scratch buffer.
     """
-    gibbs = np.exp(np.subtract(k_matrix, k_max, out=k_matrix), out=k_matrix)
+    k_max = float(np.max(k_matrix))
+    if k_max - float(np.min(k_matrix)) <= _GIBBS_MAX_SPAN:
+        gibbs = np.exp(np.subtract(k_matrix, k_max, out=k_matrix), out=k_matrix)
 
-    def rows(g):
-        top = np.max(g)
-        return -eps * (k_max + top + np.log(gibbs @ np.exp(g - top)))
+        def reduce(g, axis):
+            top = np.max(g)
+            shifted = np.exp(g - top)
+            sums = gibbs @ shifted if axis == 1 else shifted @ gibbs
+            return -eps * (k_max + top + np.log(sums))
+    else:
+        scratch = np.empty_like(k_matrix)
 
-    def columns(g):
-        top = np.max(g)
-        return -eps * (k_max + top + np.log(np.exp(g - top) @ gibbs))
+        def reduce(g, axis):
+            return _log_sum_exp(k_matrix, g, eps, axis, scratch)
 
-    return rows, columns
+    def t_nu(psi):
+        return reduce(psi / eps + log_w_nu, axis=1)
 
+    def t_mu(phi):
+        return reduce(phi / eps + log_w_mu, axis=0)
 
-def _log_half_steps(k_matrix: np.ndarray, eps: float, with_columns: bool):
-    """Row and column half-steps as max-shifted log-sum-exps over K.
-
-    The columns step (None unless asked for) reduces over rows of K; a
-    contiguous transpose keeps its reads sequential, and one scratch buffer
-    serves both shapes.
-    """
-    scratch = np.empty_like(k_matrix)
-
-    def rows(g):
-        return _softmin_core(k_matrix, g, eps, scratch)
-
-    if not with_columns:
-        return rows, None
-    k_transposed = np.ascontiguousarray(k_matrix.T)
-    scratch_transposed = scratch.reshape(k_transposed.shape)
-
-    def columns(g):
-        return _softmin_core(k_transposed, g, eps, scratch_transposed)
-
-    return rows, columns
+    return t_nu, t_mu
 
 
-def _fixed_point(c_matrix, mu, nu, cfg, psi0):
-    """Iterate the half-steps; returns phi, psi, iterations, residuals, converged.
+def _fixed_point(c_matrix, mu, nu, cfg, start):
+    """Iterate from psi = start; returns phi, psi, iterations, residuals, converged.
 
     K and whatever the half-steps build from it live only in this frame, so
     they are released before any plan is extracted.
     """
-    eps = cfg.epsilon
-    k_matrix = c_matrix / -eps
-    k_max = float(np.max(k_matrix))
-    self_problem = _is_self_problem(mu, nu)
-    # a NaN span fails the test and keeps the log domain
-    if k_max - float(np.min(k_matrix)) <= _GIBBS_MAX_SPAN:
-        rows, columns = _gibbs_half_steps(k_matrix, k_max, eps)
-    else:
-        rows, columns = _log_half_steps(k_matrix, eps, with_columns=not self_problem)
-    log_w_mu = _log_weights(mu.weights)
+    t_nu, t_mu = _half_steps(c_matrix / -cfg.epsilon, cfg.epsilon,
+                             _log_weights(mu.weights), _log_weights(nu.weights))
 
+    # SinkhornConfig keeps max_iter >= 1, so each loop binds iterations and phi
     residuals = []
     converged = False
-    iterations = 0
-    if self_problem:
-        def half_step(potential):
-            return rows(potential / eps + log_w_mu)
-
-        phi = np.zeros(len(mu)) if psi0 is None else np.asarray(psi0, dtype=float).copy()
+    if _is_self_problem(mu, nu):
+        # nu = mu, so t_nu is the one half-step of the averaged update
+        phi = start
         for iterations in range(1, cfg.max_iter + 1):
-            phi_new = 0.5 * (phi + half_step(phi))
+            phi_new = 0.5 * (phi + t_nu(phi))
             res = _oscillation(phi_new - phi)
             residuals.append(res)
             phi = phi_new
@@ -347,20 +329,18 @@ def _fixed_point(c_matrix, mu, nu, cfg, psi0):
         # beyond the stopping tolerance, keeping plan marginals at the scale
         # the extraction formula assumes even for small epsilon
         for _ in range(2):
-            phi = 0.5 * (phi + half_step(phi))
+            phi = 0.5 * (phi + t_nu(phi))
         # the oscillation residual is blind to the constant component of the
         # defect phi - T(phi); shifting by half its midrange removes that
         # component exactly (T(phi - a) = T(phi) + a)
-        defect = phi - half_step(phi)
+        defect = phi - t_nu(phi)
         phi = phi - 0.25 * float(np.max(defect) + np.min(defect))
         psi = phi.copy()
     else:
-        log_w_nu = _log_weights(nu.weights)
-        psi = np.zeros(len(nu)) if psi0 is None else np.asarray(psi0, dtype=float).copy()
-        phi = np.zeros(len(mu))
+        psi = start
         for iterations in range(1, cfg.max_iter + 1):
-            phi = rows(psi / eps + log_w_nu)
-            psi_new = columns(phi / eps + log_w_mu)
+            phi = t_nu(psi)
+            psi_new = t_mu(phi)
             res = _oscillation(psi_new - psi)
             residuals.append(res)
             psi = psi_new
@@ -368,6 +348,16 @@ def _fixed_point(c_matrix, mu, nu, cfg, psi0):
                 converged = True
                 break
     return phi, psi, iterations, residuals, converged
+
+
+def _start_vector(psi0, size: int) -> np.ndarray:
+    """psi0 checked to be a finite vector of length size; zeros when None."""
+    start = np.zeros(size) if psi0 is None else np.array(psi0, dtype=float)
+    if start.shape != (size,):
+        raise DimensionMismatchError(f"psi0 must have shape ({size},), got {start.shape}")
+    if not np.all(np.isfinite(start)):
+        raise NonFiniteValueError("non-finite entry in psi0")
+    return start
 
 
 def solve(
@@ -386,11 +376,13 @@ def solve(
     iterate flagged converged=False rather than aborting.
 
     epsilon = math.inf returns the limit solution without iterating: the value
-    and potentials of ot_infinity (already normalized, so psi0 and normalize
-    have no effect) and the independent coupling as the plan.
+    and potentials of ot_infinity (already normalized, so normalize has no
+    effect) and the independent coupling as the plan. At any epsilon, a psi0
+    that is not a finite vector of length len(nu) raises.
 
     The plan and the duality gap are built only when read (SinkhornSolution).
     """
+    start = _start_vector(psi0, len(nu))
     eps = cfg.epsilon
     if math.isinf(eps):
         limits = ot_infinity(cost, mu, nu)
@@ -408,7 +400,7 @@ def solve(
         )
     c_matrix = cost.matrix(mu.points, nu.points)
     w_mu, w_nu = mu.weights, nu.weights
-    phi, psi, iterations, residuals, converged = _fixed_point(c_matrix, mu, nu, cfg, psi0)
+    phi, psi, iterations, residuals, converged = _fixed_point(c_matrix, mu, nu, cfg, start)
 
     if cfg.normalize:
         # half the independent-coupling cost, as in ot_infinity

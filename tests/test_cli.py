@@ -218,6 +218,11 @@ def _base_config(tmp_path, command, mu, nu):
     ("dither", "smoothing=0", "smoothing"),
     ("dither", "smoothing=NaN", "smoothing"),
     ("compute", "epsilon=NaN", "epsilon"),
+    ("compute", "epsilon=0", "epsilon"),
+    ("compute", "epsilon=-1", "epsilon"),
+    ("dither", "epsilon=0", "epsilon"),
+    ("dither", "epsilon=-1", "epsilon"),
+    ("potentials", "epsilon=0", "epsilon"),
     ("compute", "kind=[1]", "kind"),
     ("sweep", "epsilons=[1.0,0.5]", "epsilons"),
     ("sweep", "epsilons=abc", "epsilons"),

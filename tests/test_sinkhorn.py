@@ -24,12 +24,12 @@ from sinkdiv import (
     uniform,
 )
 from sinkdiv import sinkhorn
+from sinkdiv.errors import DimensionMismatchError, NonFiniteValueError
 from sinkdiv.sinkhorn import (
     _fixed_point,
-    _gibbs_half_steps,
-    _log_half_steps,
+    _half_steps,
+    _log_sum_exp,
     _log_weights,
-    _softmin_core,
     extend_potentials,
 )
 
@@ -112,27 +112,32 @@ def test_half_step_matches_naive_logsumexp_both_orientations(unit_square, eps):
     # through softmin, which evaluates the cost block itself
     assert np.max(np.abs(softmin(cost, nu, psi, eps, mu.points) - naive_rows)) <= 1e-12
     assert np.max(np.abs(softmin(cost, mu, phi, eps, nu.points) - naive_cols)) <= 1e-12
-    # the solver's layout: K, its contiguous transpose, one scratch buffer for both
+    # the solver's layout: one K and one scratch buffer, reduced along either axis
     k_matrix = c_matrix / -eps
-    k_transposed = np.ascontiguousarray(k_matrix.T)
     scratch = np.empty_like(k_matrix)
-    rows = _softmin_core(k_matrix, psi / eps + _log_weights(nu.weights), eps, scratch)
-    cols = _softmin_core(k_transposed, phi / eps + _log_weights(mu.weights), eps,
-                         scratch.reshape(k_transposed.shape))
+    rows = _log_sum_exp(k_matrix, psi / eps + _log_weights(nu.weights), eps, 1, scratch)
+    cols = _log_sum_exp(k_matrix, phi / eps + _log_weights(mu.weights), eps, 0, scratch)
     assert np.max(np.abs(rows - naive_rows)) <= 1e-12
     assert np.max(np.abs(cols - naive_cols)) <= 1e-12
 
 
-def _both_half_steps(c_matrix, eps):
-    # each builder owns the K it is given: the Gibbs one overwrites it with G
+def _both_half_steps(monkeypatch, c_matrix, eps, log_w_mu, log_w_nu):
+    # each form owns the K it is given: the Gibbs one overwrites it with G,
+    # whose largest entry is exp(0) = 1
     k_matrix = c_matrix / -eps
-    k_max = float(np.max(k_matrix))
-    assert k_max - float(np.min(k_matrix)) <= sinkhorn._GIBBS_MAX_SPAN
-    return _gibbs_half_steps(k_matrix.copy(), k_max, eps), _log_half_steps(k_matrix, eps, True)
+    assert float(np.max(k_matrix)) - float(np.min(k_matrix)) <= sinkhorn._GIBBS_MAX_SPAN
+    k_gibbs = k_matrix.copy()
+    gibbs = _half_steps(k_gibbs, eps, log_w_mu, log_w_nu)
+    assert np.max(k_gibbs) == 1.0
+    # no span passes the test, so the same K gets the log-domain form
+    monkeypatch.setattr(sinkhorn, "_GIBBS_MAX_SPAN", -math.inf)
+    log_domain = _half_steps(k_matrix, eps, log_w_mu, log_w_nu)
+    assert np.array_equal(k_matrix, c_matrix / -eps)
+    return gibbs, log_domain
 
 
 @pytest.mark.parametrize("case", ["zero_weights", "negated_gaussian", "large_eps"])
-def test_gibbs_half_steps_match_log_domain_both_orientations(unit_square, case):
+def test_gibbs_half_steps_match_log_domain_both_orientations(monkeypatch, unit_square, case):
     rng = np.random.default_rng(24)
     cost, eps = AbsDistance(unit_square), 0.05
     mu = random_measure(rng, 13, unit_square)
@@ -146,12 +151,11 @@ def test_gibbs_half_steps_match_log_domain_both_orientations(unit_square, case):
     else:
         eps = 1e3
     phi, psi = rng.random(13) - 0.5, rng.random(8) - 0.5
-    (rows, columns), (log_rows, log_columns) = _both_half_steps(
-        cost.matrix(mu.points, nu.points), eps)
-    g_nu = psi / eps + _log_weights(nu.weights)
-    g_mu = phi / eps + _log_weights(mu.weights)
-    assert np.max(np.abs(rows(g_nu) - log_rows(g_nu))) <= 1e-12
-    assert np.max(np.abs(columns(g_mu) - log_columns(g_mu))) <= 1e-12
+    (t_nu, t_mu), (log_t_nu, log_t_mu) = _both_half_steps(
+        monkeypatch, cost.matrix(mu.points, nu.points), eps,
+        _log_weights(mu.weights), _log_weights(nu.weights))
+    assert np.max(np.abs(t_nu(psi) - log_t_nu(psi))) <= 1e-12
+    assert np.max(np.abs(t_mu(phi) - log_t_mu(phi))) <= 1e-12
 
 
 def _span_problem(span):
@@ -211,12 +215,33 @@ def test_gibbs_solve_peak_memory_within_four_cost_sized_arrays(unit_square):
             solve(cost, a, b, cfg).duality_gap
             _, solve_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            _fixed_point(c_matrix, a, b, cfg, None)
+            _fixed_point(c_matrix, a, b, cfg, np.zeros(n))
             _, fixed_point_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert solve_peak <= 4 * array_bytes + slack
         assert fixed_point_peak <= array_bytes + slack
+
+
+def test_log_domain_solve_peak_memory_within_three_cost_sized_arrays(unit_square):
+    # K spans about 1400 at eps = 1e-3, so the half-steps run in the log
+    # domain: the cost, K and one scratch buffer, both axes reduced on the one K
+    rng = np.random.default_rng(27)
+    n = 600
+    mu = random_measure(rng, n, unit_square)
+    nu = random_measure(rng, n, unit_square)
+    cost = AbsDistance(unit_square)
+    cfg = SinkhornConfig(epsilon=1e-3, max_iter=5)
+    array_bytes = n * n * 8
+    slack = array_bytes // 8
+    for a, b in [(mu, nu), (mu, mu)]:
+        tracemalloc.start()
+        try:
+            solve(cost, a, b, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * array_bytes + slack
 
 
 def _eager_extraction(cost, mu, nu, sol):
@@ -449,6 +474,30 @@ def test_shift_equivariance(unit_box):
     assert np.allclose(shifted.potentials.phi - base.potentials.phi, -delta[0], atol=1e-10)
 
 
+_BAD_STARTS = [
+    (np.full(4, np.nan), NonFiniteValueError),
+    (np.array([0.1, np.inf, 0.0, 0.2]), NonFiniteValueError),
+    (np.zeros(1), DimensionMismatchError),
+    (np.zeros(3), DimensionMismatchError),
+    (np.zeros(5), DimensionMismatchError),
+    (np.zeros((4, 1)), DimensionMismatchError),
+    (np.float64(0.5), DimensionMismatchError),
+]
+
+
+@pytest.mark.parametrize("eps", [0.1, math.inf])
+@pytest.mark.parametrize("psi0, error", _BAD_STARTS)
+def test_solve_rejects_bad_psi0(unit_box, eps, psi0, error):
+    # a 5 x 4 cross problem and a 4 x 4 self problem: psi0 runs over nu
+    rng = np.random.default_rng(9)
+    cost = AbsDistance(unit_box)
+    mu = random_measure(rng, 5, unit_box)
+    nu = random_measure(rng, 4, unit_box)
+    for a, b in [(mu, nu), (nu, nu)]:
+        with pytest.raises(error, match="psi0"):
+            solve(cost, a, b, SinkhornConfig(epsilon=eps), psi0=psi0)
+
+
 # ---------------------------------------------------------------------------
 # monotonicity in the regularization strength
 # ---------------------------------------------------------------------------
@@ -585,6 +634,15 @@ def test_half_step_range_bound(unit_box):
     hi = np.max(c_block - phi[None, :], axis=1)
     assert np.all(out >= lo - 1e-12)
     assert np.all(out <= hi + 1e-12)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
+def test_softmin_and_contraction_estimate_reject_non_positive_and_nan(unit_box, epsilon):
+    cost = AbsDistance(unit_box)
+    with pytest.raises(ValueError, match="epsilon"):
+        softmin(cost, dirac([0.4]), np.array([0.3]), epsilon, np.array([[0.9]]))
+    with pytest.raises(ValueError, match="epsilon"):
+        contraction_estimate(cost, unit_box, epsilon)
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
