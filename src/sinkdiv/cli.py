@@ -293,8 +293,14 @@ def cmd_potentials(config: dict, allow_partial: bool) -> int:
     mu = _measure_from(config, "mu", box)
     nu = _measure_from(config, "nu", box)
     cost = _from_spec(config, "cost", cost_from_spec, box)
+    # the witness needs c = -K; checked before anything is solved or written
+    kernel = kernel_for_cost(cost)
     epsilon = _coerce("epsilon", _require(config, "epsilon"), float)
-    grid = box.grid(_coerce("grid_points_per_axis", config.get("grid_points_per_axis", 64), int))
+    per_axis = _coerce("grid_points_per_axis", config.get("grid_points_per_axis", 64), int)
+    # the grid includes both endpoints of each axis
+    if per_axis < 2:
+        raise ConfigError(f"invalid 'grid_points_per_axis': {per_axis} is less than 2")
+    grid = box.grid(per_axis)
 
     solution = solve(cost, mu, nu, _dataclass_config(SinkhornConfig, config, epsilon=epsilon))
     status = 0 if solution.converged or allow_partial else 2
@@ -305,7 +311,6 @@ def cmd_potentials(config: dict, allow_partial: bool) -> int:
     save_potential(_require(config, "output_psi"), nu.points, pair.psi)
     save_potential(_require(config, "output_diff"), grid, phi_grid - psi_grid)
 
-    kernel = kernel_for_cost(cost)
     witness = witness_from_limits(kernel, mu, nu, grid)
     save_potential(_require(config, "output_witness"), grid, witness)
     return status

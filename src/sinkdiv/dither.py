@@ -156,7 +156,8 @@ def _envelope_gradient(
 ) -> np.ndarray:
     # Dual values differentiated only through the cost entries, potentials
     # held fixed at their converged values. The half on the self term cancels
-    # because each position appears in both marginals of the symmetric plan.
+    # because each position appears in both marginals of the self plan, which
+    # is symmetric to the stopping tolerance (psi = T(phi) ends the solve).
     return (cost.plan_grad_y(target.points, positions, cross.plan.matrix)
             - cost.plan_grad_y(positions, positions, self_p.plan.matrix))
 

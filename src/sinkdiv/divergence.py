@@ -84,34 +84,21 @@ def witness_from_limits(
 ) -> np.ndarray:
     """Witness function recovered from the infinite-regularization potentials.
 
-    Runs the limit formulas with cost -K~, where K~ is the anchor-shifted
-    kernel when the input is conditionally positive definite of order 1
-    (anchor at the box's lower corner). The anchor terms are then removed so
-    the result is reported against the original kernel; it matches
-    witness_eval pointwise.
+    Runs the limit formulas with cost -K and divides by D_K; a CpdShifted
+    kernel is unwrapped to its base, so the result is reported against the
+    base. For probability measures the anchor terms of a shift only add a
+    constant to the witness and leave D_K unchanged, so an order-1
+    conditionally positive definite kernel needs no shift here. The result
+    matches witness_eval pointwise.
     """
-    if isinstance(kernel, CpdShifted):
-        shifted, base, anchor = kernel, kernel.base, kernel.anchor
-    elif kernel.cpd_order == 1:
-        anchor = kernel.box.lower
-        shifted, base = CpdShifted(kernel, anchor), kernel
-    else:
-        shifted, base, anchor = kernel, None, None
-
-    cost = NegatedKernel(shifted)
+    base = kernel.base if isinstance(kernel, CpdShifted) else kernel
+    cost = NegatedKernel(base)
     # continuous extensions of the limit potentials to the query points
     phi_inf, psi_inf = extend_potentials(cost, mu, nu, ot_infinity(cost, mu, nu).potentials, points)
-    witness = phi_inf - psi_inf
-
-    if base is not None:
-        c_mu = float(base.gram(mu.points, anchor[None, :])[:, 0] @ mu.weights)
-        c_nu = float(base.gram(nu.points, anchor[None, :])[:, 0] @ nu.weights)
-        witness = witness - (c_nu - c_mu)
-
-    norm = kernel_discrepancy(shifted, mu, nu).value
+    norm = kernel_discrepancy(base, mu, nu).value
     if norm <= ZERO_DISCREPANCY_TOL:
         raise ZeroDiscrepancyError(f"discrepancy {norm} too small, witness undefined")
-    return witness / norm
+    return (phi_inf - psi_inf) / norm
 
 
 def sweep_epsilons(epsilons=None) -> np.ndarray:

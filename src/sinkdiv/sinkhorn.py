@@ -1,9 +1,9 @@
 """Sinkhorn solver for entropically regularized optimal transport.
 
-The softmin half-step, the alternating fixed-point iteration with an
-oscillation-norm stopping rule, potential normalization, value/plan/gap
-extraction, contraction diagnostics, and the infinite-regularization limit
-objects. All exponentials are max-shifted; nothing overflows at either
+The softmin half-step, one fixed-point loop (alternating for a cross problem,
+averaged for a self problem) with an oscillation-norm stopping rule,
+potential normalization, value/plan/gap extraction, contraction diagnostics,
+and the infinite-regularization limit objects. All exponentials are max-shifted; nothing overflows at either
 extreme of the regularization parameter.
 
 A solve works on K = -C/eps, built once, and on g = phi/eps + log w, which
@@ -305,48 +305,31 @@ def _half_steps(k_matrix: np.ndarray, eps: float, log_w_mu: np.ndarray, log_w_nu
 def _fixed_point(c_matrix, mu, nu, cfg, start):
     """Iterate from psi = start; returns phi, psi, iterations, residuals, converged.
 
-    K and whatever the half-steps build from it live only in this frame, so
-    they are released before any plan is extracted.
+    Each iteration takes phi = t_nu(psi), then psi <- t_mu(phi) (cross) or
+    psi <- (psi + phi) / 2 (self), and one stopping rule reads the psi update.
+    A self problem ends on psi = t_mu(phi), as alternation does. K and
+    whatever the half-steps build from it live only in this frame, so they
+    are released before any plan is extracted.
     """
     t_nu, t_mu = _half_steps(c_matrix / -cfg.epsilon, cfg.epsilon,
                              _log_weights(mu.weights), _log_weights(nu.weights))
+    averaged = _is_self_problem(mu, nu)
 
-    # SinkhornConfig keeps max_iter >= 1, so each loop binds iterations and phi
+    # SinkhornConfig keeps max_iter >= 1, so the loop binds iterations and phi
     residuals = []
     converged = False
-    if _is_self_problem(mu, nu):
-        # nu = mu, so t_nu is the one half-step of the averaged update
-        phi = start
-        for iterations in range(1, cfg.max_iter + 1):
-            phi_new = 0.5 * (phi + t_nu(phi))
-            res = _oscillation(phi_new - phi)
-            residuals.append(res)
-            phi = phi_new
-            if res <= cfg.tol:
-                converged = True
-                break
-        # polish: two extra averaged steps tighten the self-consistency defect
-        # beyond the stopping tolerance, keeping plan marginals at the scale
-        # the extraction formula assumes even for small epsilon
-        for _ in range(2):
-            phi = 0.5 * (phi + t_nu(phi))
-        # the oscillation residual is blind to the constant component of the
-        # defect phi - T(phi); shifting by half its midrange removes that
-        # component exactly (T(phi - a) = T(phi) + a)
-        defect = phi - t_nu(phi)
-        phi = phi - 0.25 * float(np.max(defect) + np.min(defect))
-        psi = phi.copy()
-    else:
-        psi = start
-        for iterations in range(1, cfg.max_iter + 1):
-            phi = t_nu(psi)
-            psi_new = t_mu(phi)
-            res = _oscillation(psi_new - psi)
-            residuals.append(res)
-            psi = psi_new
-            if res <= cfg.tol:
-                converged = True
-                break
+    psi = start
+    for iterations in range(1, cfg.max_iter + 1):
+        phi = t_nu(psi)
+        psi_new = 0.5 * (psi + phi) if averaged else t_mu(phi)
+        res = _oscillation(psi_new - psi)
+        residuals.append(res)
+        psi = psi_new
+        if res <= cfg.tol:
+            converged = True
+            break
+    if averaged:
+        psi = t_mu(phi)
     return phi, psi, iterations, residuals, converged
 
 
@@ -370,10 +353,13 @@ def solve(
     """Run the Sinkhorn fixed-point iteration to the oscillation-norm tolerance.
 
     Alternates phi <- T_nu(psi), psi <- T_mu(phi) from psi = 0 (or psi0). A
-    self problem (nu identical to mu) switches to the averaged single-potential
-    update phi <- (phi + T_mu(phi)) / 2, whose plain alternation can oscillate
-    between the two symmetric potentials. Hitting max_iter returns the best
-    iterate flagged converged=False rather than aborting.
+    self problem (nu identical to mu), whose plain alternation can oscillate
+    between two symmetric potentials, averages instead: psi <- (psi + phi) / 2
+    (Feydy et al. 2019). It ends on one plain half-step psi = T_mu(phi), so
+    its value <phi, mu> + <psi, mu> is the semi-dual of phi, as for a cross
+    problem: stationary at the fixed point, so second order in the remaining
+    defect. Hitting max_iter returns the last iterate flagged converged=False
+    rather than aborting.
 
     epsilon = math.inf returns the limit solution without iterating: the value
     and potentials of ot_infinity (already normalized, so normalize has no

@@ -223,6 +223,10 @@ def _base_config(tmp_path, command, mu, nu):
     ("dither", "epsilon=0", "epsilon"),
     ("dither", "epsilon=-1", "epsilon"),
     ("potentials", "epsilon=0", "epsilon"),
+    # the grid includes both endpoints of each axis
+    ("potentials", "grid_points_per_axis=-1", "grid_points_per_axis"),
+    ("potentials", "grid_points_per_axis=0", "grid_points_per_axis"),
+    ("potentials", "grid_points_per_axis=1", "grid_points_per_axis"),
     ("compute", "kind=[1]", "kind"),
     ("sweep", "epsilons=[1.0,0.5]", "epsilons"),
     ("sweep", "epsilons=abc", "epsilons"),
@@ -438,6 +442,16 @@ def test_dither_idempotent(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # potentials
 # ---------------------------------------------------------------------------
+
+def test_potentials_non_kernel_cost_exits_one_before_writing(tmp_path, toy_files, capsys):
+    mu, nu = toy_files
+    config = _base_config(tmp_path, "potentials", mu, nu)
+    config["cost"] = {"variant": "PowerDistance", "params": {"p": 2.0}}
+    assert main(["potentials", "--config", str(write_config(tmp_path, config))]) == 1
+    err = capsys.readouterr().err
+    assert "PowerDistance" in err and "Traceback" not in err
+    for key in ("output_phi", "output_psi", "output_diff", "output_witness"):
+        assert not (tmp_path / f"{key}.txt").exists()
 
 def test_potentials_dumps(tmp_path, toy_files):
     mu, nu = toy_files

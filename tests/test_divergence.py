@@ -134,8 +134,8 @@ def test_witness_from_limits_matches_witness_eval_pd(unit_box):
         assert np.max(np.abs(a - b)) <= 1e-9
 
 def test_witness_from_limits_cpd_kernel_reports_against_itself(unit_box):
-    # order-1 kernels are shifted internally; the anchor terms are removed so
-    # the reported function matches the plain embedding-difference witness
+    # an order-1 kernel runs unshifted: between probability measures the limit
+    # formulas give the plain embedding-difference witness as they stand
     rng = np.random.default_rng(5)
     kernel = NegativeDistance(unit_box)
     grid = np.linspace(0, 1, 100)[:, None]

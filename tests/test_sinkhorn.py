@@ -423,6 +423,32 @@ def test_duality_gap_at_convergence(unit_box):
     for sol in _battery(unit_box):
         assert sol.duality_gap <= 1e-6
 
+def test_self_duality_gap_second_order(unit_box):
+    # the odd entries are the self solves; each ends on the semi-dual of phi,
+    # stationary at the fixed point, so its gap is second order in the defect
+    # the tolerance leaves
+    for sol in _battery(unit_box)[1::2]:
+        assert sol.duality_gap <= 1e-12
+
+@pytest.mark.parametrize("eps", [1e-3, 0.1])
+def test_self_solve_is_averaged_recursion_ending_on_half_step(unit_box, eps):
+    # the averaged update written out with softmin, from psi = 0
+    rng = np.random.default_rng(8)
+    cost = AbsDistance(unit_box)
+    mu = random_measure(rng, 12, unit_box)
+    sol = solve(cost, mu, mu, SinkhornConfig(epsilon=eps, normalize=False))
+    assert sol.converged
+    psi, residuals = np.zeros(len(mu)), []
+    for _ in range(sol.iterations):
+        phi = softmin(cost, mu, psi, eps, mu.points)
+        psi_new = 0.5 * (psi + phi)
+        residuals.append(0.5 * float(np.max(psi_new - psi) - np.min(psi_new - psi)))
+        psi = psi_new
+    assert np.max(np.abs(sol.residual_history - residuals)) <= 1e-12
+    assert np.max(np.abs(sol.potentials.phi - phi)) <= 1e-12
+    half_step = softmin(cost, mu, sol.potentials.phi, eps, mu.points)
+    assert np.max(np.abs(sol.potentials.psi - half_step)) <= 1e-12
+
 def test_observed_contraction_bounded(unit_box):
     for sol in _battery(unit_box):
         hist = sol.residual_history
