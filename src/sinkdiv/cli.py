@@ -39,7 +39,7 @@ _COMPUTE_KINDS = {"ot_exact", "ot_eps", "s_eps", "discrepancy", "s_inf"}
 _SCHEMAS = {
     "compute": {
         "kind", "mu", "nu", "box", "cost", "kernel",
-        "epsilon", "max_iter", "tol", "normalize", "output",
+        "epsilon", "max_iter", "tol", "output",
     },
     "sweep": {"mu", "nu", "box", "cost", "epsilons", "max_iter", "tol", "output"},
     "dither": {
@@ -118,11 +118,7 @@ def _measure_from(config, key: str, box: BoundingBox):
 
 
 def _coerce(key: str, value, kind: type):
-    """value as an instance of kind (bool, int or float); ConfigError naming key otherwise."""
-    if kind is bool:
-        if isinstance(value, bool):
-            return value
-        raise ConfigError(f"invalid {key!r}: {value!r} is not true or false")
+    """value as an instance of kind (int or float); ConfigError naming key otherwise."""
     # int() would truncate 1.5 to 1 and read true as 1
     fractional = isinstance(value, float) and not value.is_integer()
     if kind is int and (isinstance(value, bool) or fractional):

@@ -121,15 +121,6 @@ def _check_sampling_ratio(cfg: DitherConfig, target: DiscreteMeasure):
         )
 
 
-def _inner_config(cfg: DitherConfig) -> SinkhornConfig:
-    return SinkhornConfig(
-        epsilon=cfg.epsilon,
-        max_iter=cfg.inner_max_iter,
-        tol=cfg.inner_tol,
-        normalize=False,
-    )
-
-
 def objective(cfg: DitherConfig, target: DiscreteMeasure, positions) -> float:
     """S_eps(target, nu_p) for the uniform measure nu_p on the positions.
 
@@ -172,7 +163,8 @@ class _Run:
     def __init__(self, cfg: DitherConfig, target: DiscreteMeasure):
         self.cost = resolve_cost(cfg)
         self.target = target
-        self.inner = _inner_config(cfg)
+        self.inner = SinkhornConfig(epsilon=cfg.epsilon, max_iter=cfg.inner_max_iter,
+                                    tol=cfg.inner_tol)
         self.unconverged = 0
         # -OT_eps(target, target) / 2, constant in the positions
         self.target_term = -0.5 * self._solve(target, target, None).value

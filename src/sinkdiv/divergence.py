@@ -136,7 +136,7 @@ def epsilon_sweep(
     limits = ot_infinity(cost, mu, nu)
     records = []
     for eps in [*eps_values, math.inf]:
-        cfg_eps = replace(template, epsilon=float(eps), normalize=True)
+        cfg_eps = replace(template, epsilon=float(eps))
         cross = solve(cost, mu, nu, cfg_eps)
         div = _divergence_from_cross(cost, mu, nu, cfg_eps, cross)
         records.append(

@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import DimensionMismatchError, SizeExceededError
 from .kernels import Cost
@@ -94,6 +92,10 @@ def exact_ot(cost: Cost, mu: DiscreteMeasure, nu: DiscreteMeasure) -> ExactOTRes
     optimal. Optimal plans are not unique in general; only values should be
     compared downstream unless uniqueness is known.
     """
+    # scipy is loaded here, by the one solve that needs it, not on import
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     if mu.dim != nu.dim:
         raise DimensionMismatchError(f"dimensions differ: {mu.dim} vs {nu.dim}")
     n, m = len(mu), len(nu)

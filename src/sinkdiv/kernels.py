@@ -74,10 +74,10 @@ class _RadialFunction:
         return _LIPSCHITZ_INFLATION * float(np.max(d))
 
     def eval(self, x, y) -> float:
+        """The one-pair gram, so a single evaluation matches the matrix bitwise."""
         x = np.asarray(x, dtype=float).ravel()
         y = np.asarray(y, dtype=float).ravel()
-        r = float(np.sqrt(np.sum((x - y) * (x - y))))
-        return float(self._profile(r))
+        return float(self.gram(x[None], y[None])[0, 0])
 
     def gram(self, xs, ys) -> np.ndarray:
         """Matrix of evaluations, row-major over xs (outer) and ys (inner)."""
@@ -129,14 +129,9 @@ class _RadialFunction:
 # ---------------------------------------------------------------------------
 
 class Kernel(_RadialFunction):
-    """Symmetric kernel with Lipschitz metadata.
-
-    cpd_order is 0 for positive definite variants and 1 for kernels that are
-    conditionally positive definite of order one (fixable by the anchor shift).
-    """
+    """Symmetric kernel with Lipschitz metadata."""
 
     variant = "Kernel"
-    cpd_order = 0
 
 
 class Gaussian(Kernel):
@@ -211,7 +206,6 @@ class NegativeDistance(Kernel):
     """K(x, y) = -||x-y||, conditionally positive definite of order 1."""
 
     variant = "NegativeDistance"
-    cpd_order = 1
     smooth_at_zero = False
 
     def _profile(self, r):
@@ -253,7 +247,6 @@ class SmoothedNegativeDistance(Kernel):
     """K(x, y) = -sqrt(c^2 + ||x-y||^2), a differentiable order-1 cpd distance kernel."""
 
     variant = "SmoothedNegativeDistance"
-    cpd_order = 1
 
     def __init__(self, box: BoundingBox, c: float = 1e-2):
         if c <= 0:
@@ -297,14 +290,9 @@ class CpdShifted(Kernel):
         # |K~(x,y) - K~(x',y)| <= |K(x,y)-K(x',y)| + |K(x,u)-K(x',u)|
         return 2.0 * self.base.lipschitz
 
-    def eval(self, x, y) -> float:
+    def gram(self, xs, ys) -> np.ndarray:
         # grouped so the two anchor cross terms commute; evaluation is then
         # bitwise symmetric in (x, y)
-        return (self.base.eval(x, y) + self._kuu) - (
-            self.base.eval(self.anchor, y) + self.base.eval(x, self.anchor)
-        )
-
-    def gram(self, xs, ys) -> np.ndarray:
         u = self.anchor[None, :]
         return (self.base.gram(xs, ys) + self._kuu) - (
             self.base.gram(u, ys) + self.base.gram(xs, u)
@@ -444,9 +432,6 @@ class NegatedKernel(Cost):
 
     def _lipschitz_bound(self) -> float:
         return self.kernel.lipschitz
-
-    def eval(self, x, y) -> float:
-        return -self.kernel.eval(x, y)
 
     def gram(self, xs, ys) -> np.ndarray:
         return -self.kernel.gram(xs, ys)

@@ -68,14 +68,6 @@ class BoundingBox:
     def diameter(self) -> float:
         return float(np.linalg.norm(self.upper - self.lower))
 
-    def contains(self, points) -> bool:
-        pts = _as_points(points)
-        if pts.shape[1] != self.dim:
-            raise DimensionMismatchError(
-                f"points have dimension {pts.shape[1]}, box has dimension {self.dim}"
-            )
-        return bool(np.all(pts >= self.lower) and np.all(pts <= self.upper))
-
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n points uniformly from the box."""
         u = rng.random((n, self.dim))

@@ -2,9 +2,13 @@
 
 The softmin half-step, one fixed-point loop (alternating for a cross problem,
 averaged for a self problem) with an oscillation-norm stopping rule,
-potential normalization, value/plan/gap extraction, contraction diagnostics,
-and the infinite-regularization limit objects. All exponentials are max-shifted; nothing overflows at either
-extreme of the regularization parameter.
+value/plan/gap extraction, contraction diagnostics, and the
+infinite-regularization limit objects. All exponentials are max-shifted;
+nothing overflows at either extreme of the regularization parameter.
+
+Potentials, unique only up to (phi + c, psi - c), always carry the
+normalization of the ot_infinity limit, sum_i phi_i mu_i = OT_inf / 2, so
+potentials at different epsilon compare directly.
 
 A solve works on K = -C/eps, built once, and on g = phi/eps + log w, which
 folds the weights into the potential: log 0 = -inf, so zero-weight atoms drop
@@ -48,14 +52,12 @@ class SinkhornConfig:
 
     epsilon may be math.inf, the independent-coupling limit. tol bounds the
     oscillation norm (half of max minus min) of successive updates of the
-    second potential; normalize pins the additive constant so that
-    sum_i phi_i mu_i equals half the independent-coupling cost.
+    second potential.
     """
 
     epsilon: float
     max_iter: int = 10_000
     tol: float = 1e-10
-    normalize: bool = True
 
     def __post_init__(self):
         # written so that NaN fails too
@@ -73,7 +75,6 @@ class PotentialPair:
     phi: np.ndarray
     psi: np.ndarray
     epsilon: float
-    normalized: bool
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ class LimitPotentials:
     @property
     def potentials(self) -> PotentialPair:
         """The limit potentials as an epsilon = inf pair, ready for extend_potentials."""
-        return PotentialPair(phi=self.phi_inf, psi=self.psi_inf, epsilon=math.inf, normalized=True)
+        return PotentialPair(phi=self.phi_inf, psi=self.psi_inf, epsilon=math.inf)
 
 
 @dataclass(frozen=True)
@@ -359,12 +360,13 @@ def solve(
     its value <phi, mu> + <psi, mu> is the semi-dual of phi, as for a cross
     problem: stationary at the fixed point, so second order in the remaining
     defect. Hitting max_iter returns the last iterate flagged converged=False
-    rather than aborting.
+    rather than aborting. The potentials are shifted by opposite constants so
+    that sum_i phi_i mu_i is half the independent-coupling cost, which leaves
+    the value and the plan unchanged.
 
     epsilon = math.inf returns the limit solution without iterating: the value
-    and potentials of ot_infinity (already normalized, so normalize has no
-    effect) and the independent coupling as the plan. At any epsilon, a psi0
-    that is not a finite vector of length len(nu) raises.
+    and potentials of ot_infinity and the independent coupling as the plan. At
+    any epsilon, a psi0 that is not a finite vector of length len(nu) raises.
 
     The plan and the duality gap are built only when read (SinkhornSolution).
     """
@@ -388,14 +390,13 @@ def solve(
     w_mu, w_nu = mu.weights, nu.weights
     phi, psi, iterations, residuals, converged = _fixed_point(c_matrix, mu, nu, cfg, start)
 
-    if cfg.normalize:
-        # half the independent-coupling cost, as in ot_infinity
-        delta = 0.5 * float(w_mu @ (c_matrix @ w_nu)) - float(phi @ w_mu)
-        phi = phi + delta
-        psi = psi - delta
+    # half the independent-coupling cost, as in ot_infinity
+    delta = 0.5 * float(w_mu @ (c_matrix @ w_nu)) - float(phi @ w_mu)
+    phi = phi + delta
+    psi = psi - delta
 
     return SinkhornSolution(
-        potentials=PotentialPair(phi=phi, psi=psi, epsilon=eps, normalized=cfg.normalize),
+        potentials=PotentialPair(phi=phi, psi=psi, epsilon=eps),
         value=float(phi @ w_mu + psi @ w_nu),
         iterations=iterations,
         final_residual=residuals[-1] if residuals else 0.0,

@@ -189,7 +189,6 @@ def _base_config(tmp_path, command, mu, nu):
 @pytest.mark.parametrize("command, override, key", [
     # values that do not coerce to the type of the field's default
     ("compute", "max_iter=abc", "max_iter"),
-    ("compute", "normalize=1", "normalize"),
     ("dither", "seed=abc", "seed"),
     ("dither", "backtrack=x", "backtrack"),
     ("dither", "M=[2]", "M"),
@@ -236,6 +235,8 @@ def _base_config(tmp_path, command, mu, nu):
     ("compute", 'cost={"variant":"PowerDistance"}', "cost"),
     ("compute", "cost=5", "cost"),
     ("potentials", 'cost={"variant":"NegatedKernel","params":{}}', "cost"),
+    # potentials are always normalized, so the old switch is an unknown key
+    ("compute", "normalize=1", "normalize"),
 ])
 def test_bad_config_value_exits_one_naming_key(tmp_path, toy_files, capsys, command,
                                                override, key):

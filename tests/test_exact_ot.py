@@ -1,10 +1,14 @@
 """Exact transportation solver and the closed-form 1D distance."""
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sinkdiv
 from sinkdiv import (
     AbsDistance,
     dirac,
@@ -161,6 +165,15 @@ def test_size_cap(unit_box):
     other = uniform(np.zeros((1000, 1)))
     with pytest.raises(SizeExceededError):
         exact_ot(AbsDistance(unit_box), big, other)
+
+def test_scipy_loaded_only_by_the_exact_solve():
+    # a fresh interpreter, so modules other tests imported do not count
+    src = os.path.dirname(os.path.dirname(sinkdiv.__file__))
+    code = ("import sys, sinkdiv, sinkdiv.cli\n"
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,16 @@ def test_eval_symmetry_bitwise(unit_square):
             x, y = rng.random(2), rng.random(2)
             assert k.eval(x, y) == k.eval(y, x)
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_eval_is_one_pair_gram_bitwise(d):
+    box = BoundingBox(np.zeros(d), np.ones(d))
+    rng = np.random.default_rng(10 + d)
+    pairs = rng.random((150, 2, d))
+    for k in _contraction_variants(box):
+        for x, y in pairs:
+            value = k.eval(x, y)
+            assert value == k.gram([x], [y])[0, 0] == k.gram([y], [x])[0, 0], type(k).__name__
+
 
 # ---------------------------------------------------------------------------
 # gradients

@@ -436,7 +436,7 @@ def test_self_solve_is_averaged_recursion_ending_on_half_step(unit_box, eps):
     rng = np.random.default_rng(8)
     cost = AbsDistance(unit_box)
     mu = random_measure(rng, 12, unit_box)
-    sol = solve(cost, mu, mu, SinkhornConfig(epsilon=eps, normalize=False))
+    sol = solve(cost, mu, mu, SinkhornConfig(epsilon=eps))
     assert sol.converged
     psi, residuals = np.zeros(len(mu)), []
     for _ in range(sol.iterations):
@@ -444,8 +444,13 @@ def test_self_solve_is_averaged_recursion_ending_on_half_step(unit_box, eps):
         psi_new = 0.5 * (psi + phi)
         residuals.append(0.5 * float(np.max(psi_new - psi) - np.min(psi_new - psi)))
         psi = psi_new
+    psi = softmin(cost, mu, phi, eps, mu.points)
+    # the same shift as solve: <phi, mu> becomes half the independent-coupling cost
+    delta = 0.5 * ot_infinity(cost, mu, mu).ot_inf - float(phi @ mu.weights)
     assert np.max(np.abs(sol.residual_history - residuals)) <= 1e-12
-    assert np.max(np.abs(sol.potentials.phi - phi)) <= 1e-12
+    assert np.max(np.abs(sol.potentials.phi - (phi + delta))) <= 1e-12
+    assert np.max(np.abs(sol.potentials.psi - (psi - delta))) <= 1e-12
+    # psi is the half-step of phi, which the shift commutes with
     half_step = softmin(cost, mu, sol.potentials.phi, eps, mu.points)
     assert np.max(np.abs(sol.potentials.psi - half_step)) <= 1e-12
 
@@ -471,33 +476,22 @@ def test_normalization_constraint(unit_box):
         assert float(sol.potentials.phi @ mu.weights) == pytest.approx(
             0.5 * limits.ot_inf, abs=1e-10
         )
-        assert sol.potentials.normalized
-
-def test_value_invariant_under_normalization(unit_box):
-    cost = AbsDistance(unit_box)
-    rng = np.random.default_rng(3)
-    mu = random_measure(rng, 8, unit_box)
-    nu = random_measure(rng, 8, unit_box)
-    a = solve(cost, mu, nu, SinkhornConfig(epsilon=0.3, normalize=True))
-    b = solve(cost, mu, nu, SinkhornConfig(epsilon=0.3, normalize=False))
-    assert a.value == pytest.approx(b.value, abs=1e-12)
-    assert np.allclose(a.plan.matrix, b.plan.matrix, atol=1e-12)
 
 def test_shift_equivariance(unit_box):
-    # seeding the iteration at a constant shifts the unnormalized pair by
-    # opposite constants and leaves value and plan unchanged
+    # seeding the iteration at a constant shifts the iterates by opposite
+    # constants, which the normalization removes; dithering's warm starts
+    # from normalized potentials rely on this
     cost = AbsDistance(unit_box)
     rng = np.random.default_rng(4)
     mu = random_measure(rng, 7, unit_box)
     nu = random_measure(rng, 9, unit_box)
-    cfg = SinkhornConfig(epsilon=0.2, normalize=False)
+    cfg = SinkhornConfig(epsilon=0.2)
     base = solve(cost, mu, nu, cfg)
     shifted = solve(cost, mu, nu, cfg, psi0=np.full(len(nu), 0.37))
     assert shifted.value == pytest.approx(base.value, abs=1e-10)
     assert np.allclose(shifted.plan.matrix, base.plan.matrix, atol=1e-10)
-    delta = shifted.potentials.psi - base.potentials.psi
-    assert np.max(np.abs(delta - delta[0])) <= 1e-10
-    assert np.allclose(shifted.potentials.phi - base.potentials.phi, -delta[0], atol=1e-10)
+    assert np.max(np.abs(shifted.potentials.phi - base.potentials.phi)) <= 1e-10
+    assert np.max(np.abs(shifted.potentials.psi - base.potentials.psi)) <= 1e-10
 
 
 _BAD_STARTS = [
