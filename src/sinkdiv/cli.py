@@ -36,21 +36,16 @@ from .sinkhorn import SinkhornConfig, extend_potentials, solve
 _COMPUTE_KINDS = {"ot_exact", "ot_eps", "s_eps", "discrepancy", "s_inf"}
 
 # allowed keys per command; unknown keys are rejected before any computation
+_PAIR = {"mu", "nu", "box", "cost"}
+_SOLVER = {f.name for f in fields(SinkhornConfig)}
 _SCHEMAS = {
-    "compute": {
-        "kind", "mu", "nu", "box", "cost", "kernel",
-        "epsilon", "max_iter", "tol", "output",
+    "compute": _PAIR | _SOLVER | {"kind", "kernel", "output"},
+    "sweep": _PAIR | (_SOLVER - {"epsilon"}) | {"epsilons", "output"},
+    "dither": {f.name for f in fields(DitherConfig)} | {
+        "target", "box", "output_positions", "output_trace",
     },
-    "sweep": {"mu", "nu", "box", "cost", "epsilons", "max_iter", "tol", "output"},
-    "dither": {
-        "target", "box", "cost", "M", "epsilon", "max_outer_iter", "grad_tol",
-        "initial_step", "backtrack", "sufficient_decrease", "seed", "inner_tol",
-        "inner_max_iter", "smoothing", "output_positions", "output_trace",
-    },
-    "potentials": {
-        "mu", "nu", "box", "cost", "epsilon", "max_iter", "tol",
-        "grid_points_per_axis", "output_phi", "output_psi",
-        "output_diff", "output_witness",
+    "potentials": _PAIR | _SOLVER | {
+        "grid_points_per_axis", "output_phi", "output_psi", "output_diff", "output_witness",
     },
 }
 
@@ -103,7 +98,7 @@ def _box_from(config) -> BoundingBox:
     spec = _require(config, "box")
     try:
         return BoundingBox(np.asarray(spec["lower"], float), np.asarray(spec["upper"], float))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, SinkdivError) as exc:
         raise ConfigError(f"invalid box: {exc}") from exc
 
 
@@ -119,10 +114,10 @@ def _measure_from(config, key: str, box: BoundingBox):
 
 def _coerce(key: str, value, kind: type):
     """value as an instance of kind (int or float); ConfigError naming key otherwise."""
-    # int() would truncate 1.5 to 1 and read true as 1
+    # int() and float() would read true as 1; int() would truncate 1.5 to 1
     fractional = isinstance(value, float) and not value.is_integer()
-    if kind is int and (isinstance(value, bool) or fractional):
-        raise ConfigError(f"invalid {key!r}: {value!r} is not an integer")
+    if isinstance(value, bool) or (kind is int and fractional):
+        raise ConfigError(f"invalid {key!r}: {value!r} is not {kind.__name__}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:

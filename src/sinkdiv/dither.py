@@ -69,6 +69,9 @@ class DitherConfig:
             raise ValueError(f"inner_max_iter must be >= 1, got {self.inner_max_iter}")
         if not self.max_outer_iter >= 0:
             raise ValueError(f"max_outer_iter must be >= 0, got {self.max_outer_iter}")
+        # numpy's generators take only non-negative seeds
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # the width of the smoothed distance kernel that replaces kinked costs
         if not 0.0 < self.smoothing < float("inf"):
             raise ValueError(f"smoothing must be finite and positive, got {self.smoothing}")

@@ -84,10 +84,10 @@ def witness_from_limits(
 ) -> np.ndarray:
     """Witness function recovered from the infinite-regularization potentials.
 
-    Runs the limit formulas with cost -K and divides by D_K; a CpdShifted
-    kernel is unwrapped to its base, so the result is reported against the
-    base. For probability measures the anchor terms of a shift only add a
-    constant to the witness and leave D_K unchanged, so an order-1
+    Extends the ot_infinity potentials of cost -K and divides by D_K; a
+    CpdShifted kernel is unwrapped to its base, so the result is reported
+    against the base. For probability measures the anchor terms of a shift
+    only add a constant to the witness and leave D_K unchanged, so an order-1
     conditionally positive definite kernel needs no shift here. The result
     matches witness_eval pointwise.
     """
@@ -127,7 +127,7 @@ def epsilon_sweep(
 
     The records carry the sup distance of the normalized potentials to their
     infinite-regularization limits; the terminal epsilon = inf record is the
-    same computation at the limit, where the solves return the limit formulas.
+    same computation at the limit, where each solve is its closed-form step.
     Non-converged solves are flagged per record and the sweep continues.
     """
     eps_values = sweep_epsilons(epsilons)
@@ -178,9 +178,8 @@ def write_sweep_csv(path, records: list[SweepRecord]):
     """Plot-ready CSV, one row per record, epsilon=inf for the terminal row."""
     lines = [SWEEP_CSV_HEADER]
     for r in records:
-        eps = "inf" if math.isinf(r.epsilon) else f"{r.epsilon:.17g}"
         lines.append(
-            f"{eps},{r.ot_eps:.17g},{r.s_eps:.17g},"
+            f"{r.epsilon:.17g},{r.ot_eps:.17g},{r.s_eps:.17g},"
             f"{r.phi_dist_to_inf:.17g},{r.psi_dist_to_inf:.17g},{r.iterations}"
         )
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -53,6 +53,9 @@ class BoundingBox:
             raise DimensionMismatchError(
                 f"box corners must be vectors of equal length, got {lo.shape} and {hi.shape}"
             )
+        # an infinite corner gives an infinite diameter and grid
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise NonFiniteValueError("box corners must be finite")
         if not np.all(lo < hi):
             raise ValueError("box requires lower < upper componentwise")
         lo.flags.writeable = False

@@ -1,14 +1,15 @@
 """Sinkhorn solver for entropically regularized optimal transport.
 
-The softmin half-step, one fixed-point loop (alternating for a cross problem,
-averaged for a self problem) with an oscillation-norm stopping rule,
-value/plan/gap extraction, contraction diagnostics, and the
-infinite-regularization limit objects. All exponentials are max-shifted;
-nothing overflows at either extreme of the regularization parameter.
+The softmin half-step, one solve (a fixed-point loop, alternating for a
+cross problem and averaged for a self problem, with an oscillation-norm
+stopping rule; at epsilon = inf one exact closed-form alternation, whose
+value is the dual value as at every epsilon), value/plan/gap extraction and
+contraction diagnostics. All exponentials are max-shifted; nothing overflows
+at either extreme of the regularization parameter.
 
 Potentials, unique only up to (phi + c, psi - c), always carry the
-normalization of the ot_infinity limit, sum_i phi_i mu_i = OT_inf / 2, so
-potentials at different epsilon compare directly.
+normalization sum_i phi_i mu_i = OT_inf / 2, so potentials at different
+epsilon compare directly.
 
 A solve works on K = -C/eps, built once, and on g = phi/eps + log w, which
 folds the weights into the potential: log 0 = -inf, so zero-weight atoms drop
@@ -211,28 +212,17 @@ def softmin(cost: Cost, m: DiscreteMeasure, phi: np.ndarray, epsilon: float, que
     return _log_sum_exp(k_block, phi / epsilon + _log_weights(m.weights), epsilon, 1, k_block)
 
 
-def ot_infinity(cost: Cost, mu: DiscreteMeasure, nu: DiscreteMeasure) -> LimitPotentials:
-    """Independent-coupling cost and the uniform limits of the potentials.
-
-    ot_inf = sum_{ij} c_ij mu_i nu_j; the limit potentials are the marginal
-    cost averages shifted so that sum_i phi_i mu_i = ot_inf / 2.
-    """
-    c_matrix = cost.matrix(mu.points, nu.points)
-    row_avg = c_matrix @ nu.weights
-    col_avg = c_matrix.T @ mu.weights
-    ot_inf = float(mu.weights @ row_avg)
-    return LimitPotentials(
-        phi_inf=row_avg - 0.5 * ot_inf,
-        psi_inf=col_avg - 0.5 * ot_inf,
-        ot_inf=ot_inf,
-    )
-
-
 def contraction_estimate(cost: Cost, box: BoundingBox, epsilon: float) -> ContractionEstimate:
-    """kappa = 1 - exp(-2 L diam / epsilon) for the cost's Lipschitz constant."""
+    """kappa = 1 - exp(-2 L diam / epsilon) for the cost's Lipschitz constant.
+
+    At epsilon = inf, the closed-form step of solve, the half-step maps every
+    potential to the same one up to a constant, so kappa is 0 for every cost,
+    an infinite L included.
+    """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    kappa = 1.0 - float(np.exp(-2.0 * cost.lipschitz * box.diameter / epsilon))
+    exponent = 0.0 if math.isinf(epsilon) else -2.0 * cost.lipschitz * box.diameter / epsilon
+    kappa = 1.0 - float(np.exp(exponent))
     return ContractionEstimate(
         lipschitz=cost.lipschitz, diam=box.diameter, epsilon=epsilon, kappa=kappa
     )
@@ -364,34 +354,30 @@ def solve(
     that sum_i phi_i mu_i is half the independent-coupling cost, which leaves
     the value and the plan unchanged.
 
-    epsilon = math.inf returns the limit solution without iterating: the value
-    and potentials of ot_infinity and the independent coupling as the plan. At
-    any epsilon, a psi0 that is not a finite vector of length len(nu) raises.
+    epsilon = math.inf is the closed-form step: the limit half-steps average c
+    against the other measure, so one alternation from psi = 0 is exact (phi
+    = C w_nu, psi = C^T w_mu - <phi, mu>; no iteration, kappa = 0, the
+    independent coupling as the plan), and the value is the dual value.
+    psi0 has no effect there; at any epsilon, one that is not a finite vector
+    of length len(nu) raises.
 
     The plan and the duality gap are built only when read (SinkhornSolution).
     """
     start = _start_vector(psi0, len(nu))
     eps = cfg.epsilon
-    if math.isinf(eps):
-        limits = ot_infinity(cost, mu, nu)
-        return SinkhornSolution(
-            potentials=limits.potentials,
-            value=limits.ot_inf,
-            iterations=0,
-            final_residual=0.0,
-            converged=True,
-            kappa=0.0,
-            mu=mu,
-            nu=nu,
-            cost_matrix=None,
-            residual_history=np.array([]),
-        )
     c_matrix = cost.matrix(mu.points, nu.points)
     w_mu, w_nu = mu.weights, nu.weights
-    phi, psi, iterations, residuals, converged = _fixed_point(c_matrix, mu, nu, cfg, start)
+    row_avg = c_matrix @ w_nu
+    # half the independent-coupling cost, the normalization <phi, mu>
+    half_ot = 0.5 * float(w_mu @ row_avg)
+    if math.isinf(eps):
+        phi = row_avg
+        psi = c_matrix.T @ w_mu - float(phi @ w_mu)
+        iterations, residuals, converged = 0, [], True
+    else:
+        phi, psi, iterations, residuals, converged = _fixed_point(c_matrix, mu, nu, cfg, start)
 
-    # half the independent-coupling cost, as in ot_infinity
-    delta = 0.5 * float(w_mu @ (c_matrix @ w_nu)) - float(phi @ w_mu)
+    delta = half_ot - float(phi @ w_mu)
     phi = phi + delta
     psi = psi - delta
 
@@ -404,9 +390,21 @@ def solve(
         kappa=contraction_estimate(cost, cost.box, eps).kappa,
         mu=mu,
         nu=nu,
-        cost_matrix=c_matrix,
+        # the independent coupling at epsilon = inf needs no cost matrix
+        cost_matrix=None if math.isinf(eps) else c_matrix,
         residual_history=np.array(residuals),
     )
+
+
+def ot_infinity(cost: Cost, mu: DiscreteMeasure, nu: DiscreteMeasure) -> LimitPotentials:
+    """The epsilon = inf solve, read as the independent-coupling limit.
+
+    ot_inf = sum_ij c_ij mu_i nu_j up to rounding (the dual value); the limit
+    potentials are the marginal cost averages with sum_i phi_i mu_i = ot_inf / 2.
+    """
+    sol = solve(cost, mu, nu, SinkhornConfig(epsilon=math.inf))
+    pair = sol.potentials
+    return LimitPotentials(phi_inf=pair.phi, psi_inf=pair.psi, ot_inf=sol.value)
 
 
 def extend_potentials(

@@ -237,6 +237,17 @@ def _base_config(tmp_path, command, mu, nu):
     ("potentials", 'cost={"variant":"NegatedKernel","params":{}}', "cost"),
     # potentials are always normalized, so the old switch is an unknown key
     ("compute", "normalize=1", "normalize"),
+    # float() would read true as 1 and false as 0
+    ("compute", "epsilon=true", "epsilon"),
+    ("compute", "tol=true", "tol"),
+    ("dither", "grad_tol=false", "grad_tol"),
+    # numpy's generators take only non-negative seeds
+    ("dither", "seed=-3", "seed"),
+    # a box with an infinite corner has no finite diameter or grid
+    ("compute", "box.upper=[Infinity]", "box"),
+    ("sweep", "box.lower=[-Infinity]", "box"),
+    ("dither", "box.upper=[Infinity]", "box"),
+    ("potentials", "box.upper=[Infinity]", "box"),
 ])
 def test_bad_config_value_exits_one_naming_key(tmp_path, toy_files, capsys, command,
                                                override, key):
@@ -246,6 +257,15 @@ def test_bad_config_value_exits_one_naming_key(tmp_path, toy_files, capsys, comm
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert re.search(rf"\b{key}\b", err)
+
+def test_negative_seed_flag_exits_one_naming_seed(tmp_path, toy_files, capsys):
+    mu, nu = toy_files
+    cfg = write_config(tmp_path, _base_config(tmp_path, "dither", mu, nu))
+    assert main(["dither", "--config", str(cfg), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert re.search(r"\bseed\b", err)
+    assert "Traceback" not in err
 
 @pytest.mark.filterwarnings("ignore:target has:UserWarning")
 @pytest.mark.parametrize("command, override", [

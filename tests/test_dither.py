@@ -94,6 +94,11 @@ def test_iteration_budgets_and_smoothing_outside_range_rejected(square, key, val
     with pytest.raises(ValueError, match=key):
         DitherConfig(M=2, epsilon=1.0, cost=AbsDistance(square), **{key: value})
 
+def test_negative_seed_rejected(square):
+    # numpy's generators take only non-negative seeds
+    with pytest.raises(ValueError, match="seed"):
+        DitherConfig(M=2, epsilon=1.0, cost=AbsDistance(square), seed=-1)
+
 def test_zero_outer_budget_accepted(square):
     cfg = DitherConfig(M=2, epsilon=1.0, cost=AbsDistance(square), max_outer_iter=0)
     assert cfg.max_outer_iter == 0

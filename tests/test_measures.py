@@ -76,6 +76,15 @@ def test_non_finite_points_and_weights_rejected(points, weights):
     with pytest.raises(NonFiniteValueError):
         DiscreteMeasure.normalized(np.array(points), np.array(weights))
 
+@pytest.mark.parametrize("lower, upper", [
+    ([0.0, 0.0], [math.inf, 1.0]),
+    ([-math.inf, 0.0], [1.0, 1.0]),
+    ([0.0, math.nan], [1.0, 1.0]),
+])
+def test_box_corners_must_be_finite(lower, upper):
+    with pytest.raises(NonFiniteValueError, match="box"):
+        BoundingBox(np.array(lower), np.array(upper))
+
 def test_measure_arrays_frozen():
     m = uniform(np.array([[0.0], [1.0]]))
     with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from sinkdiv import (
     DiscreteMeasure,
     Gaussian,
     NegatedKernel,
+    PowerDistance,
     SinkhornConfig,
     contraction_estimate,
     dirac,
@@ -559,6 +560,55 @@ def test_ot_infinity_normalization_identity(unit_box):
     assert float(limits.phi_inf @ mu.weights) == pytest.approx(
         0.5 * limits.ot_inf, abs=1e-14
     )
+
+def _limit_costs(box):
+    return [AbsDistance(box), PowerDistance(box, p=2.0), NegatedKernel(Gaussian(box, c=0.4))]
+
+@pytest.mark.parametrize("cost_index", range(3))
+def test_ot_infinity_is_the_marginal_average_formula(unit_square, cost_index):
+    # the closed-form step of solve reproduces C w_nu - ot/2, C^T w_mu - ot/2
+    # and ot = <mu, C w_nu>, with zero-weight atoms, cross and self
+    rng = np.random.default_rng(40 + cost_index)
+    cost = _limit_costs(unit_square)[cost_index]
+    for _ in range(5):
+        mu, _, _ = _with_zero_weight_atoms(rng, unit_square, 9, [0, 5])
+        nu = random_measure(rng, 12, unit_square)
+        for a, b in [(mu, nu), (mu, mu), (nu, nu)]:
+            c_matrix = cost.matrix(a.points, b.points)
+            ot = float(a.weights @ (c_matrix @ b.weights))
+            limits = ot_infinity(cost, a, b)
+            assert limits.ot_inf == pytest.approx(ot, abs=1e-14)
+            assert np.max(np.abs(limits.phi_inf - (c_matrix @ b.weights - 0.5 * ot))) <= 1e-14
+            assert np.max(np.abs(limits.psi_inf - (c_matrix.T @ a.weights - 0.5 * ot))) <= 1e-14
+
+def test_solve_at_infinity_keeps_no_cost_matrix_and_zero_kappa(unit_square):
+    # kappa is 0 even where L / eps is inf / inf (PowerDistance with p < 1)
+    rng = np.random.default_rng(44)
+    mu = random_measure(rng, 6, unit_square)
+    nu = random_measure(rng, 7, unit_square)
+    for cost in [*_limit_costs(unit_square), PowerDistance(unit_square, p=0.5)]:
+        for a, b in [(mu, nu), (mu, mu)]:
+            sol = solve(cost, a, b, SinkhornConfig(epsilon=math.inf))
+            assert sol.kappa == 0.0
+            assert sol.cost_matrix is None
+            assert np.array_equal(sol.plan.matrix, np.outer(a.weights, b.weights))
+
+def test_divergence_at_infinity_peak_memory_within_two_cost_sized_arrays(unit_square):
+    # no solution keeps its cost matrix at eps = inf, so the three solves
+    # never hold more than one cost matrix and its build temporaries
+    rng = np.random.default_rng(45)
+    n = 600
+    mu = random_measure(rng, n, unit_square)
+    nu = random_measure(rng, n, unit_square)
+    cost = AbsDistance(unit_square)
+    array_bytes = n * n * 8
+    tracemalloc.start()
+    try:
+        sinkhorn_divergence(cost, mu, nu, SinkhornConfig(epsilon=math.inf))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * array_bytes + array_bytes // 8
 
 def test_extended_limit_potentials_match_on_supports(unit_square):
     # the eps = inf pair extends through the limit half-step and reproduces
