@@ -297,12 +297,12 @@ def cmd_potentials(config: dict, allow_partial: bool) -> int:
     status = 0 if solution.converged or allow_partial else 2
     pair = solution.potentials
     phi_grid, psi_grid = extend_potentials(cost, mu, nu, pair, grid)
+    # a zero discrepancy raises here, before any output is written
+    witness = witness_from_limits(kernel, mu, nu, grid)
 
     save_potential(_require(config, "output_phi"), mu.points, pair.phi)
     save_potential(_require(config, "output_psi"), nu.points, pair.psi)
     save_potential(_require(config, "output_diff"), grid, phi_grid - psi_grid)
-
-    witness = witness_from_limits(kernel, mu, nu, grid)
     save_potential(_require(config, "output_witness"), grid, witness)
     return status
 

@@ -27,6 +27,11 @@ per solve by the span max K - min K:
 Both forms feed the same iteration and give the same iterates up to
 rounding.
 
+softmin, the half-step at arbitrary query points (extend_potentials and the
+witness), builds and reduces the cost one row block at a time
+(kernels._row_blocks), so it never holds a query x atoms matrix. A solve
+keeps its dense K.
+
 A solve returns the potentials and the dual value. The solution keeps the
 cost matrix the solve built, and builds the dense plan, its primal value and
 the duality gap together on first access, so callers that need only the value
@@ -43,7 +48,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteValueError
 from .exact_ot import TransportPlan
-from .kernels import Cost
+from .kernels import Cost, _row_blocks
 from .measures import BoundingBox, DiscreteMeasure, _as_points
 
 
@@ -197,19 +202,39 @@ def softmin(cost: Cost, m: DiscreteMeasure, phi: np.ndarray, epsilon: float, que
     """Softmin half-step T(phi)(x) = -eps log int exp((phi(y) - c(x, y))/eps) dm(y).
 
     epsilon = math.inf gives the limit of the half-step, the m-average of
-    c(x, .) - phi.
+    c(x, .) - phi. phi must be a finite vector with one entry per atom of m.
+
+    The query points run in the cost's row blocks (kernels._row_blocks): each
+    block of the cost is built and reduced at once, by a log-sum-exp or, at
+    epsilon = inf, by block @ w, so memory beyond the result stays at one
+    block of about 2^16 cells however many query points there are. Blocks
+    start on multiples of 8 rows, where gemv groups rows as it does over the
+    whole matrix, so the result has the same bits as one unblocked pass on
+    one BLAS thread.
     """
     # written so that NaN fails too
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     pts = _as_points(query_points)
-    c_block = cost.matrix(pts, m.points)
-    phi = np.asarray(phi, dtype=float)
+    phi = _finite_vector(phi, len(m), "phi")
+    weights = m.weights
     if math.isinf(epsilon):
-        return c_block @ m.weights - phi @ m.weights
-    # the block is ours: it becomes K = -C/eps and then the scratch buffer
-    k_block = np.divide(c_block, -epsilon, out=c_block)
-    return _log_sum_exp(k_block, phi / epsilon + _log_weights(m.weights), epsilon, 1, k_block)
+        shift = phi @ weights
+
+        def reduce(c_block):
+            return c_block @ weights - shift
+    else:
+        g = phi / epsilon + _log_weights(weights)
+
+        def reduce(c_block):
+            # the block is ours: it becomes K = -C/eps and then the scratch buffer
+            k_block = np.divide(c_block, -epsilon, out=c_block)
+            return _log_sum_exp(k_block, g, epsilon, 1, k_block)
+
+    out = np.empty(pts.shape[0])
+    for rows in _row_blocks(pts.shape[0], len(m)):
+        out[rows] = reduce(cost.matrix(pts[rows], m.points))
+    return out
 
 
 def contraction_estimate(cost: Cost, box: BoundingBox, epsilon: float) -> ContractionEstimate:
@@ -324,14 +349,14 @@ def _fixed_point(c_matrix, mu, nu, cfg, start):
     return phi, psi, iterations, residuals, converged
 
 
-def _start_vector(psi0, size: int) -> np.ndarray:
-    """psi0 checked to be a finite vector of length size; zeros when None."""
-    start = np.zeros(size) if psi0 is None else np.array(psi0, dtype=float)
-    if start.shape != (size,):
-        raise DimensionMismatchError(f"psi0 must have shape ({size},), got {start.shape}")
-    if not np.all(np.isfinite(start)):
-        raise NonFiniteValueError("non-finite entry in psi0")
-    return start
+def _finite_vector(values, size: int, name: str) -> np.ndarray:
+    """values as a float vector, checked to be finite and of length size."""
+    vector = np.array(values, dtype=float)
+    if vector.shape != (size,):
+        raise DimensionMismatchError(f"{name} must have shape ({size},), got {vector.shape}")
+    if not np.all(np.isfinite(vector)):
+        raise NonFiniteValueError(f"non-finite entry in {name}")
+    return vector
 
 
 def solve(
@@ -363,7 +388,7 @@ def solve(
 
     The plan and the duality gap are built only when read (SinkhornSolution).
     """
-    start = _start_vector(psi0, len(nu))
+    start = np.zeros(len(nu)) if psi0 is None else _finite_vector(psi0, len(nu), "psi0")
     eps = cfg.epsilon
     c_matrix = cost.matrix(mu.points, nu.points)
     w_mu, w_nu = mu.weights, nu.weights
@@ -418,7 +443,9 @@ def extend_potentials(
 
     phi extends through the half-step against nu, psi through the half-step
     against mu; a pair with epsilon = inf (LimitPotentials.potentials) extends
-    through the limit of the half-step.
+    through the limit of the half-step. Both run through softmin, one row
+    block of points at a time, so a grid of any size holds one cost block,
+    not a grid x atoms matrix.
     """
     phi_ext = softmin(cost, nu, pair.psi, pair.epsilon, points)
     psi_ext = softmin(cost, mu, pair.phi, pair.epsilon, points)

@@ -474,6 +474,16 @@ def test_potentials_non_kernel_cost_exits_one_before_writing(tmp_path, toy_files
     for key in ("output_phi", "output_psi", "output_diff", "output_witness"):
         assert not (tmp_path / f"{key}.txt").exists()
 
+def test_potentials_zero_discrepancy_exits_one_before_writing(tmp_path, toy_files, capsys):
+    # mu and nu name the same file, so D_K = 0 and the witness is undefined
+    mu, _ = toy_files
+    config = _base_config(tmp_path, "potentials", mu, mu)
+    assert main(["potentials", "--config", str(write_config(tmp_path, config))]) == 1
+    err = capsys.readouterr().err
+    assert "witness" in err and "Traceback" not in err
+    for key in ("output_phi", "output_psi", "output_diff", "output_witness"):
+        assert not (tmp_path / f"{key}.txt").exists()
+
 def test_potentials_dumps(tmp_path, toy_files):
     mu, nu = toy_files
     paths = {key: tmp_path / f"{key}.txt" for key in ("phi", "psi", "diff", "witness")}

@@ -22,7 +22,8 @@ from sinkdiv import (
     kernel_from_spec,
 )
 from sinkdiv.errors import NonDifferentiablePointError, NotNegatedKernelError
-from sinkdiv.kernels import kernel_for_cost, pairwise_distances
+from sinkdiv import kernels
+from sinkdiv.kernels import _row_blocks, kernel_for_cost, pairwise_distances
 
 
 def all_kernels(box):
@@ -278,6 +279,55 @@ def test_empirical_pd_cpd_shift(unit_box):
 
 def test_empirical_pd_shifted_negative_distance(unit_box):
     assert empirical_pd_check(ShiftedNegativeDistance(unit_box), 100, seed=1) > -1e-10
+
+
+# ---------------------------------------------------------------------------
+# row blocks
+# ---------------------------------------------------------------------------
+
+# so large that every matrix below is one block
+_ONE_BLOCK = 1 << 40
+
+
+@pytest.mark.parametrize("n, m", [(203, 37), (203, 1), (1, 37), (1, 1), (9, 5000)])
+@pytest.mark.parametrize("cells", [64, kernels._BLOCK_CELLS])
+def test_row_blocks_cover_rows_in_multiples_of_eight(monkeypatch, n, m, cells):
+    monkeypatch.setattr(kernels, "_BLOCK_CELLS", cells)
+    blocks = _row_blocks(n, m)
+    assert [r for rows in blocks for r in range(n)[rows]] == list(range(n))
+    for rows in blocks:
+        assert rows.start % 8 == 0
+        height = rows.stop - rows.start
+        assert height % 8 == 0 and height >= 8
+        assert height * m <= cells or height == 8
+
+
+def _blocked_and_whole(monkeypatch, evaluate, cells):
+    monkeypatch.setattr(kernels, "_BLOCK_CELLS", cells)
+    blocked = evaluate()
+    monkeypatch.setattr(kernels, "_BLOCK_CELLS", _ONE_BLOCK)
+    return blocked, evaluate()
+
+
+# (203, 37) at 64 cells is 26 blocks of 8 rows, the last of 3; (203, 700) is
+# three blocks at the default size
+@pytest.mark.parametrize("n, m, cells", [
+    (203, 37, 64), (203, 1, 64), (1, 37, 64), (1, 1, 64), (203, 700, kernels._BLOCK_CELLS),
+])
+def test_blocked_matrices_bitwise_equal_one_block(monkeypatch, unit_square, n, m, cells):
+    rng = np.random.default_rng(40)
+    xs = rng.random((n, 2))
+    ys = rng.random((m, 2))
+    box = unit_square
+    costs = [AbsDistance(box), PowerDistance(box, p=2), NegatedKernel(Gaussian(box, c=0.7)),
+             NegatedKernel(CpdShifted(NegativeDistance(box), anchor=[0.3, 0.8]))]
+    for cost in costs:
+        blocked, whole = _blocked_and_whole(monkeypatch, lambda: cost.matrix(xs, ys), cells)
+        assert blocked.shape == (n, m)
+        assert blocked.tobytes() == whole.tobytes(), cost.variant
+    gaussian = Gaussian(box, c=0.7)
+    blocked, whole = _blocked_and_whole(monkeypatch, lambda: gaussian.gram(xs, ys), cells)
+    assert blocked.tobytes() == whole.tobytes()
 
 
 # ---------------------------------------------------------------------------

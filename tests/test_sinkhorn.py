@@ -12,6 +12,7 @@ from sinkdiv import (
     DiscreteMeasure,
     Gaussian,
     NegatedKernel,
+    PotentialPair,
     PowerDistance,
     SinkhornConfig,
     contraction_estimate,
@@ -24,7 +25,7 @@ from sinkdiv import (
     solve,
     uniform,
 )
-from sinkdiv import sinkhorn
+from sinkdiv import kernels, sinkhorn
 from sinkdiv.errors import DimensionMismatchError, NonFiniteValueError
 from sinkdiv.sinkhorn import (
     _fixed_point,
@@ -362,6 +363,68 @@ def test_softmin_infinite_epsilon_is_large_epsilon_limit(unit_square):
     assert np.max(np.abs(limit - softmin(cost, m, phi, 1e8, x))) <= 1e-6
     assert np.allclose(limit, cost.matrix(x, m.points) @ m.weights - phi @ m.weights,
                        rtol=0.0, atol=1e-15)
+
+@pytest.mark.parametrize("eps", [0.1, math.inf])
+def test_softmin_row_blocks_bitwise_equal_one_block(monkeypatch, unit_square, eps):
+    # 64 cells per block: 203 query rows against 37 atoms run in 26 blocks of
+    # 8 rows, the last of 3; small enough that the one-block gemv at eps = inf
+    # runs on one BLAS thread
+    rng = np.random.default_rng(44)
+    m = random_measure(rng, 37, unit_square)
+    phi = rng.normal(size=37)
+    xs = rng.random((203, 2))
+    for cost in [AbsDistance(unit_square), NegatedKernel(Gaussian(unit_square, c=0.7))]:
+        monkeypatch.setattr(kernels, "_BLOCK_CELLS", 64)
+        blocked = softmin(cost, m, phi, eps, xs)
+        monkeypatch.setattr(kernels, "_BLOCK_CELLS", 1 << 40)
+        whole = softmin(cost, m, phi, eps, xs)
+        assert blocked.tobytes() == whole.tobytes()
+
+
+_BAD_POTENTIALS = [
+    (np.zeros(1), DimensionMismatchError),
+    (np.zeros(6), DimensionMismatchError),
+    (np.zeros((5, 1)), DimensionMismatchError),
+    (np.full(5, np.nan), NonFiniteValueError),
+    (np.array([0.1, np.inf, 0.0, 0.2, 0.3]), NonFiniteValueError),
+]
+
+
+@pytest.mark.parametrize("eps", [0.1, math.inf])
+@pytest.mark.parametrize("potential, error", _BAD_POTENTIALS)
+def test_softmin_and_extension_reject_bad_potential(unit_box, eps, potential, error):
+    # a potential runs over the atoms of the measure it is reduced against
+    rng = np.random.default_rng(45)
+    cost = AbsDistance(unit_box)
+    mu = random_measure(rng, 5, unit_box)
+    nu = random_measure(rng, 5, unit_box)
+    xs = rng.random((4, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match="phi"):
+            softmin(cost, mu, potential, eps, xs)
+        for pair in [PotentialPair(phi=potential, psi=np.zeros(5), epsilon=eps),
+                     PotentialPair(phi=np.zeros(5), psi=potential, epsilon=eps)]:
+            with pytest.raises(error):
+                extend_potentials(cost, mu, nu, pair, xs)
+
+
+@pytest.mark.parametrize("eps", [0.1, math.inf])
+def test_extend_potentials_to_grid_holds_no_grid_by_atoms_matrix(unit_square, eps):
+    # a 64^2 grid against 600 atoms: one cost matrix would be 18.75 MiB
+    rng = np.random.default_rng(46)
+    mu = random_measure(rng, 600, unit_square)
+    nu = random_measure(rng, 600, unit_square)
+    pair = PotentialPair(phi=rng.normal(size=600), psi=rng.normal(size=600), epsilon=eps)
+    grid = unit_square.grid(64)
+    tracemalloc.start()
+    try:
+        extend_potentials(AbsDistance(unit_square), mu, nu, pair, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
 
 # ---------------------------------------------------------------------------
 # solve: toy values
