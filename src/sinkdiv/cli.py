@@ -268,6 +268,7 @@ def cmd_dither(config: dict, allow_partial: bool) -> int:
     summary = {
         "converged": state.converged,
         "energy": state.energy,
+        "energy_evaluations": state.energy_evaluations,
         "inner_unconverged": state.inner_unconverged,
         "iterations": state.trace[-1]["iter"],
         "line_search_failed": state.line_search_failed,

@@ -9,8 +9,18 @@ squared discrepancy.
 
 The gradient sum_i P_ij grad_y c(x_i, y_j) is one plan-weighted contraction
 per plan (Cost.plan_grad_y), with no (n, m, d) gradient array. An energy
-evaluation keeps the two solutions, and only the accepted iterates, whose
-gradient is taken, build their dense plans.
+evaluation builds the target-to-positions and positions-to-positions cost
+matrices, solves on them, and keeps the two solutions with the two matrices.
+Only the accepted iterates, whose gradient is taken, build their dense plans,
+and the contraction reads h'(r)/r from the kept matrices wherever the
+profile gives it in closed form (1/C for the smoothed distance cost that
+replaces kinked costs, -2h/c^2 for a Gaussian), so an accepted iterate
+computes no distances. Other costs take h'(r)/r from the distances.
+
+The public entry points check their inputs once per call: the target
+against the cost's box, and given positions for shape (M, d), finiteness
+and the box. Line-search candidates are clipped into the box, so the
+energy evaluations inside a run check nothing again.
 """
 from __future__ import annotations
 
@@ -28,7 +38,8 @@ from .kernels import (
     ShiftedNegativeDistance,
     SmoothedNegativeDistance,
 )
-from .measures import DiscreteMeasure, uniform
+from .errors import DimensionMismatchError
+from .measures import DiscreteMeasure, uniform, validate
 from .sinkhorn import SinkhornConfig, SinkhornSolution, solve
 
 
@@ -101,6 +112,8 @@ class DitherState:
     line_search_failed: bool = False
     #: inner Sinkhorn solves (target self term included) that hit inner_max_iter
     inner_unconverged: int = 0
+    #: energy evaluations: the initial one plus every line-search candidate
+    energy_evaluations: int = 0
 
 
 def resolve_cost(cfg: DitherConfig) -> Cost:
@@ -124,6 +137,19 @@ def _check_sampling_ratio(cfg: DitherConfig, target: DiscreteMeasure):
         )
 
 
+def _checked_positions(cfg: DitherConfig, positions) -> np.ndarray:
+    """positions as an (M, d) float array, finite and inside the cost's box."""
+    box = cfg.cost.box
+    positions = np.asarray(positions, dtype=float)
+    if positions.shape != (cfg.M, box.dim):
+        raise DimensionMismatchError(
+            f"positions must have shape ({cfg.M}, {box.dim}), got {positions.shape}"
+        )
+    # the measure raises on a non-finite coordinate, validate on one outside the box
+    validate(uniform(positions), box)
+    return positions
+
+
 def objective(cfg: DitherConfig, target: DiscreteMeasure, positions) -> float:
     """S_eps(target, nu_p) for the uniform measure nu_p on the positions.
 
@@ -131,13 +157,16 @@ def objective(cfg: DitherConfig, target: DiscreteMeasure, positions) -> float:
     kernel-backed cost is half the squared discrepancy, target self-term
     included.
     """
-    return _Run(cfg, target).energy_and_solutions(np.asarray(positions, dtype=float))[0]
+    validate(target, cfg.cost.box)
+    positions = _checked_positions(cfg, positions)
+    return _Run(cfg, target).energy_and_solutions(positions)[0]
 
 
 def gradient(cfg: DitherConfig, target: DiscreteMeasure, positions) -> np.ndarray:
     """Gradient of the objective with respect to the atom positions, shape (M, d)."""
+    validate(target, cfg.cost.box)
+    positions = _checked_positions(cfg, positions)
     run = _Run(cfg, target)
-    positions = np.asarray(positions, dtype=float)
     return _envelope_gradient(run.cost, target, positions, *run.energy_and_solutions(positions)[1])
 
 
@@ -147,20 +176,24 @@ def _envelope_gradient(
     positions: np.ndarray,
     cross: SinkhornSolution,
     self_p: SinkhornSolution,
+    c_cross: np.ndarray,
+    c_self: np.ndarray,
 ) -> np.ndarray:
     # Dual values differentiated only through the cost entries, potentials
     # held fixed at their converged values. The half on the self term cancels
     # because each position appears in both marginals of the self plan, which
     # is symmetric to the stopping tolerance (psi = T(phi) ends the solve).
-    return (cost.plan_grad_y(target.points, positions, cross.plan.matrix)
-            - cost.plan_grad_y(positions, positions, self_p.plan.matrix))
+    # The cost matrices the two solves ran on give h'(r)/r wherever the
+    # profile has it in closed form; other costs recompute the distances.
+    return (cost.plan_grad_y(target.points, positions, cross.plan.matrix, c_cross)
+            - cost.plan_grad_y(positions, positions, self_p.plan.matrix, c_self))
 
 
 class _Run:
     """Shared state of one dithering run.
 
-    Warm starts, the constant target self-term, and the count of inner solves
-    that stopped at max_iter.
+    Warm starts, the constant target self-term, the count of inner solves
+    that stopped at max_iter and the count of energy evaluations.
     """
 
     def __init__(self, cfg: DitherConfig, target: DiscreteMeasure):
@@ -169,28 +202,34 @@ class _Run:
         self.inner = SinkhornConfig(epsilon=cfg.epsilon, max_iter=cfg.inner_max_iter,
                                     tol=cfg.inner_tol)
         self.unconverged = 0
+        self.evaluations = 0
         # -OT_eps(target, target) / 2, constant in the positions
         self.target_term = -0.5 * self._solve(target, target, None).value
         self.psi_cross = None
         self.phi_self = None
 
-    def _solve(self, mu, nu, psi0):
-        solution = solve(self.cost, mu, nu, self.inner, psi0=psi0)
+    def _solve(self, mu, nu, psi0, cost_matrix=None):
+        solution = solve(self.cost, mu, nu, self.inner, psi0=psi0, cost_matrix=cost_matrix)
         self.unconverged += not solution.converged
         return solution
 
     def energy_and_solutions(self, positions: np.ndarray):
-        """Energy at the positions and the (cross, self) solutions; warm-starts the next call.
+        """Energy at the positions and (cross, self, c_cross, c_self); warm-starts the next call.
 
-        The solutions build their plans only when the gradient reads them.
+        c_cross and c_self are the cost matrices the two solves ran on, kept
+        for the gradient. The solutions build their plans only when the
+        gradient reads them.
         """
+        self.evaluations += 1
         nu_p = uniform(positions)
-        cross = self._solve(self.target, nu_p, self.psi_cross)
-        self_p = self._solve(nu_p, nu_p, self.phi_self)
+        c_cross = self.cost.matrix(self.target.points, nu_p.points)
+        c_self = self.cost.matrix(nu_p.points, nu_p.points)
+        cross = self._solve(self.target, nu_p, self.psi_cross, c_cross)
+        self_p = self._solve(nu_p, nu_p, self.phi_self, c_self)
         self.psi_cross = cross.potentials.psi
         self.phi_self = self_p.potentials.phi
         value = cross.value + self.target_term - 0.5 * self_p.value
-        return value, (cross, self_p)
+        return value, (cross, self_p, c_cross, c_self)
 
 
 def dither(cfg: DitherConfig, target: DiscreteMeasure) -> DitherState:
@@ -200,6 +239,7 @@ def dither(cfg: DitherConfig, target: DiscreteMeasure) -> DitherState:
     step underflow (below 1e-14, recorded in the state, not fatal). The energy
     trace is non-increasing by construction.
     """
+    validate(target, cfg.cost.box)
     _check_sampling_ratio(cfg, target)
     box = cfg.cost.box
     rng = np.random.default_rng(cfg.seed)
@@ -253,4 +293,5 @@ def dither(cfg: DitherConfig, target: DiscreteMeasure) -> DitherState:
         converged=converged,
         line_search_failed=failed,
         inner_unconverged=run.unconverged,
+        energy_evaluations=run.evaluations,
     )

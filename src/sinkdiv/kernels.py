@@ -155,17 +155,40 @@ class _RadialFunction:
         # the gradients overwrite the differences, saving one (n, m, d) array
         return np.multiply(scale[:, :, None], diff, out=diff)
 
-    def plan_grad_y(self, xs, ys, plan) -> np.ndarray:
+    def _scale_from_values(self, values):
+        """h'(r)/r as a closed form F of the matrix values = h(r), or None.
+
+        Only a profile whose F is finite for every r >= 0 gives one; the
+        rest read their factor from the distances. F is odd, F(-h) = -F(h),
+        so F applied to a NegatedKernel's matrix C = -K gives -F(K), the
+        cost's own factor. A fresh array is returned; values is not written.
+        """
+        return None
+
+    def plan_grad_y(self, xs, ys, plan, values=None) -> np.ndarray:
         """sum_i plan_ij grad_y k(xs_i, ys_j) for each j, shape (m, d).
 
         With W = plan * h'(r)/r this is ys_j sum_i W_ij - (W^T xs)_j: one
         n x m array and one matrix product, no (n, m, d) gradients.
+
+        values, if given, is this function's own matrix at (xs, ys), as
+        gram or matrix builds it. A profile with a closed form of h'(r)/r in
+        h (_scale_from_values) then reads the factor from it and computes
+        no distances; every other profile takes the distance route, which
+        is also the route with values=None.
         """
         xs = _as_points(xs)
         ys = _as_points(ys)
-        weights = self._grad_scale(pairwise_distances(xs, ys))
+        weights = None if values is None else self._scale_from_values(values)
+        if weights is None:
+            weights = self._grad_scale(pairwise_distances(xs, ys))
         weights *= plan
-        return ys * weights.sum(axis=0)[:, None] - weights.T @ xs
+        return _plan_contraction(xs, ys, weights)
+
+
+def _plan_contraction(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_i W_ij (ys_j - xs_i) for each j, as ys_j sum_i W_ij - (W^T xs)_j."""
+    return ys * weights.sum(axis=0)[:, None] - weights.T @ xs
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +217,10 @@ class Gaussian(Kernel):
 
     def _profile_deriv(self, r):
         return -2.0 * r / (self.c * self.c) * np.exp(-(r * r) / (self.c * self.c))
+
+    def _scale_from_values(self, values):
+        # h'(r)/r = -2 h / c^2
+        return values * (-2.0 / (self.c * self.c))
 
     def params(self):
         return {"c": self.c}
@@ -304,6 +331,10 @@ class SmoothedNegativeDistance(Kernel):
     def _profile_deriv(self, r):
         return -r / np.sqrt(self.c * self.c + r * r)
 
+    def _scale_from_values(self, values):
+        # h'(r)/r = -1/sqrt(c^2 + r^2) = 1/h, and |h| >= c > 0
+        return np.reciprocal(values)
+
     def params(self):
         return {"c": self.c}
 
@@ -350,8 +381,10 @@ class CpdShifted(Kernel):
         u = self.anchor[None, :]
         return self.base.pairwise_grad_y(xs, ys) - self.base.pairwise_grad_y(u, ys)
 
-    def plan_grad_y(self, xs, ys, plan) -> np.ndarray:
-        # the anchor term's gradient in y is weighted by the plan's column sums
+    def plan_grad_y(self, xs, ys, plan, values=None) -> np.ndarray:
+        # the anchor term's gradient in y is weighted by the plan's column
+        # sums; the shifted matrix does not give the base kernel's values,
+        # so values is not read and the distance route runs
         u = self.anchor[None, :]
         return (self.base.plan_grad_y(xs, ys, plan)
                 - self.base.plan_grad_y(u, ys, plan.sum(axis=0)[None, :]))
@@ -490,8 +523,14 @@ class NegatedKernel(Cost):
     def pairwise_grad_y(self, xs, ys) -> np.ndarray:
         return -self.kernel.pairwise_grad_y(xs, ys)
 
-    def plan_grad_y(self, xs, ys, plan) -> np.ndarray:
-        return -self.kernel.plan_grad_y(xs, ys, plan)
+    def plan_grad_y(self, xs, ys, plan, values=None) -> np.ndarray:
+        # the kernel's closed form is odd, so on C = -K it gives -F(K), the
+        # cost's factor (1/C for the smoothed distance)
+        weights = None if values is None else self.kernel._scale_from_values(values)
+        if weights is None:
+            return -self.kernel.plan_grad_y(xs, ys, plan)
+        weights *= plan
+        return _plan_contraction(_as_points(xs), _as_points(ys), weights)
 
     def params(self):
         return {"kernel": {"variant": self.kernel.variant, "params": self.kernel.params()}}

@@ -33,10 +33,10 @@ witness), builds and reduces the cost one row block at a time
 keeps its dense K.
 
 A solve returns the potentials and the dual value. The solution keeps the
-cost matrix the solve built, and builds the dense plan, its primal value and
-the duality gap together on first access, so callers that need only the value
-(the self terms of a divergence, rejected line-search candidates) never build
-an n x m plan.
+cost matrix the solve built or was given, and builds the dense plan, its
+primal value and the duality gap together on first access, so callers that
+need only the value (the self terms of a divergence, rejected line-search
+candidates) never build an n x m plan.
 """
 from __future__ import annotations
 
@@ -359,12 +359,23 @@ def _finite_vector(values, size: int, name: str) -> np.ndarray:
     return vector
 
 
+def _finite_matrix(values, shape: tuple[int, int]) -> np.ndarray:
+    """values as a float matrix, checked to be finite and of the given shape; no copy."""
+    matrix = np.asarray(values, dtype=float)
+    if matrix.shape != shape:
+        raise DimensionMismatchError(f"cost_matrix must have shape {shape}, got {matrix.shape}")
+    if not np.all(np.isfinite(matrix)):
+        raise NonFiniteValueError("non-finite entry in cost_matrix")
+    return matrix
+
+
 def solve(
     cost: Cost,
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
     cfg: SinkhornConfig,
     psi0: np.ndarray | None = None,
+    cost_matrix: np.ndarray | None = None,
 ) -> SinkhornSolution:
     """Run the Sinkhorn fixed-point iteration to the oscillation-norm tolerance.
 
@@ -386,11 +397,20 @@ def solve(
     psi0 has no effect there; at any epsilon, one that is not a finite vector
     of length len(nu) raises.
 
+    cost_matrix, if given, is cost.matrix(mu.points, nu.points) built by the
+    caller, who may read it again (dither's gradient takes h'(r)/r from it);
+    the solve then builds none and returns the same result, bit for bit. It
+    is checked for shape (len(mu), len(nu)) and finite entries, never
+    written, and kept by the solution as given at finite epsilon.
+
     The plan and the duality gap are built only when read (SinkhornSolution).
     """
     start = np.zeros(len(nu)) if psi0 is None else _finite_vector(psi0, len(nu), "psi0")
     eps = cfg.epsilon
-    c_matrix = cost.matrix(mu.points, nu.points)
+    if cost_matrix is None:
+        c_matrix = cost.matrix(mu.points, nu.points)
+    else:
+        c_matrix = _finite_matrix(cost_matrix, (len(mu), len(nu)))
     w_mu, w_nu = mu.weights, nu.weights
     row_avg = c_matrix @ w_nu
     # half the independent-coupling cost, the normalization <phi, mu>

@@ -432,6 +432,16 @@ def test_dither_outputs(tmp_path, capsys):
     assert set(trace[0]) == {"iter", "energy", "grad_norm", "step"}
 
 @pytest.mark.filterwarnings("ignore:target has:UserWarning")
+def test_dither_reports_energy_evaluations(tmp_path, toy_files, capsys):
+    mu, nu = toy_files
+    cfg = write_config(tmp_path, _base_config(tmp_path, "dither", mu, nu))
+    # no outer step leaves the one evaluation at the seeded positions
+    assert main(["dither", "--config", str(cfg), "--set", "max_outer_iter=0"]) == 0
+    assert json.loads(capsys.readouterr().out)["energy_evaluations"] == 1
+    assert main(["dither", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["energy_evaluations"] >= 2
+
+@pytest.mark.filterwarnings("ignore:target has:UserWarning")
 def test_dither_reports_unconverged_inner_solves(tmp_path, toy_files, capsys):
     mu, nu = toy_files
     cfg = write_config(tmp_path, _base_config(tmp_path, "dither", mu, nu))

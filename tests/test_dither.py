@@ -1,4 +1,5 @@
 """Dithering objective, envelope gradients, and the descent loop."""
+import importlib
 import math
 
 import numpy as np
@@ -19,9 +20,15 @@ from sinkdiv import (
     objective,
     sample_grid_density,
     sinkhorn_divergence,
+    solve,
     uniform,
 )
+from sinkdiv import kernels
 from sinkdiv.dither import DitherConfig, resolve_cost
+from sinkdiv.errors import DimensionMismatchError, NonFiniteValueError, PointOutsideBoxError
+
+# the package exports the dither function under the module's name
+dither_module = importlib.import_module("sinkdiv.dither")
 
 
 @pytest.fixture
@@ -305,3 +312,110 @@ def test_default_inner_budget_converges_every_solve(square, eps):
     target = sample_grid_density(density, square, 10)
     cfg = DitherConfig(M=4, epsilon=eps, cost=AbsDistance(square), seed=6, max_outer_iter=10)
     assert dither(cfg, target).inner_unconverged == 0
+
+
+# ---------------------------------------------------------------------------
+# input checks at the entry points
+# ---------------------------------------------------------------------------
+
+def _unit_box():
+    return BoundingBox(np.zeros(2), np.ones(2))
+
+def _inside_target():
+    return sample_grid_density(lambda x: 1.0, _unit_box(), 4)
+
+def _call_entry(entry, target, positions):
+    cfg = DitherConfig(M=4, epsilon=0.5, cost=AbsDistance(_unit_box()), max_outer_iter=2)
+    if entry == "dither":
+        return dither(cfg, target)
+    return {"objective": objective, "gradient": gradient}[entry](cfg, target, positions)
+
+_GOOD_POSITIONS = np.array([[0.2, 0.2], [0.8, 0.2], [0.2, 0.8], [0.8, 0.8]])
+
+_BAD_POSITIONS = {
+    # outside and seven returned a number before the entry points checked them
+    "outside": (np.full((4, 2), 5.0), PointOutsideBoxError),
+    "seven": (np.full((7, 2), 0.5), DimensionMismatchError),
+    "one_axis": (np.full(4, 0.5), DimensionMismatchError),
+    "nan": (np.where(_GOOD_POSITIONS == 0.8, np.nan, _GOOD_POSITIONS), NonFiniteValueError),
+}
+
+@pytest.mark.parametrize("entry", ["objective", "gradient"])
+@pytest.mark.parametrize("case", sorted(_BAD_POSITIONS))
+def test_entry_points_reject_bad_positions(entry, case):
+    positions, error = _BAD_POSITIONS[case]
+    with pytest.raises(error):
+        _call_entry(entry, _inside_target(), positions)
+
+@pytest.mark.filterwarnings("ignore:target has:UserWarning")
+@pytest.mark.parametrize("entry", ["dither", "objective", "gradient"])
+def test_entry_points_reject_target_outside_the_box(entry):
+    target = _inside_target()
+    shifted = DiscreteMeasure(target.points + 3.0, target.weights)
+    with pytest.raises(PointOutsideBoxError):
+        _call_entry(entry, shifted, _GOOD_POSITIONS)
+
+# ---------------------------------------------------------------------------
+# energy evaluations and the cost matrices the gradient reads
+# ---------------------------------------------------------------------------
+
+def test_energy_evaluations_one_without_steps(square):
+    target = sample_grid_density(lambda x: math.exp(-9.0 * float(x @ x) / 2.0), square, 10)
+    cfg = DitherConfig(M=4, epsilon=0.5, cost=AbsDistance(square), max_outer_iter=0)
+    assert dither(cfg, target).energy_evaluations == 1
+
+@pytest.mark.parametrize("eps", [0.5, math.inf])
+def test_energy_evaluations_count_cross_solves(monkeypatch, square, eps):
+    # one energy evaluation is one cross solve: the initial one plus every
+    # line-search candidate
+    target = sample_grid_density(lambda x: math.exp(-9.0 * float(x @ x) / 2.0), square, 10)
+    cfg = DitherConfig(M=4, epsilon=eps, cost=AbsDistance(square), seed=6, max_outer_iter=8)
+    cross = []
+
+    def counted(cost, mu, nu, *args, **kwargs):
+        cross.append(mu is not nu)
+        return solve(cost, mu, nu, *args, **kwargs)
+
+    monkeypatch.setattr(dither_module, "solve", counted)
+    state = dither(cfg, target)
+    assert state.energy_evaluations == sum(cross)
+    assert state.energy_evaluations > len(state.trace)
+
+@pytest.mark.parametrize("eps", [0.5, math.inf])
+def test_accepted_iterates_compute_no_distances(monkeypatch, square, eps):
+    # one distance matrix for the target's self term and one per cost matrix
+    # of an energy evaluation; the gradient reads the evaluation's matrices
+    target = sample_grid_density(lambda x: math.exp(-9.0 * float(x @ x) / 2.0), square, 16)
+    assert len(target) <= 256  # each matrix is one row block
+    cfg = DitherConfig(M=5, epsilon=eps, cost=AbsDistance(square), seed=3, max_outer_iter=12)
+    calls = []
+    distances = kernels.pairwise_distances
+
+    def counted(xs, ys):
+        calls.append(1)
+        return distances(xs, ys)
+
+    monkeypatch.setattr(kernels, "pairwise_distances", counted)
+    state = dither(cfg, target)
+    assert len(state.trace) > 1
+    assert len(calls) == 1 + 2 * state.energy_evaluations
+
+@pytest.mark.parametrize("eps", [0.15, math.inf])
+def test_gradient_matches_pairwise_contraction_of_the_plans(square, eps):
+    # the envelope gradient on the criterion-11 target equals the einsum of
+    # the per-pair gradients with the cross and self plans
+    target = sample_grid_density(lambda x: math.exp(-9.0 * float(x @ x) / 2.0), square, 30)
+    rng = np.random.default_rng(17)
+    positions = square.lower + rng.random((50, 2)) * (square.upper - square.lower)
+    cfg = DitherConfig(M=50, epsilon=eps, cost=AbsDistance(square))
+    cost = resolve_cost(cfg)
+    config = SinkhornConfig(epsilon=eps, max_iter=cfg.inner_max_iter, tol=cfg.inner_tol)
+    nu_p = uniform(positions)
+    cross = solve(cost, target, nu_p, config)
+    self_p = solve(cost, nu_p, nu_p, config)
+    ref = (np.einsum("ij,ijk->jk", cross.plan.matrix,
+                     cost.pairwise_grad_y(target.points, positions))
+           - np.einsum("ij,ijk->jk", self_p.plan.matrix,
+                       cost.pairwise_grad_y(positions, positions)))
+    got = gradient(cfg, target, positions)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

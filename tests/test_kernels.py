@@ -175,10 +175,13 @@ def _plan_contraction(k, xs, ys, plan):
     return np.einsum("ij,ijk->jk", plan, k.pairwise_grad_y(xs, ys))
 
 def _assert_contraction_matches(k, xs, ys, plan):
+    # both routes: the factor from the distances, and from the function's own
+    # matrix where the profile gives it in closed form
     ref = _plan_contraction(k, xs, ys, plan)
-    got = k.plan_grad_y(xs, ys, plan)
-    assert got.shape == ys.shape
-    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), type(k).__name__
+    for values in (None, k.gram(xs, ys)):
+        got = k.plan_grad_y(xs, ys, plan, values)
+        assert got.shape == ys.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), type(k).__name__
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_plan_grad_matches_pairwise_contraction(d):
@@ -201,14 +204,34 @@ def test_plan_grad_coincident_points(d):
     plan = rng.random((6, 5))
     for k in _contraction_variants(box):
         if not k.smooth_at_zero:
-            with pytest.raises(NonDifferentiablePointError):
-                k.plan_grad_y(xs, ys, plan)
+            for values in (None, k.gram(xs, ys)):
+                with pytest.raises(NonDifferentiablePointError):
+                    k.plan_grad_y(xs, ys, plan, values)
             continue
         _assert_contraction_matches(k, xs, ys, plan)
         # a coincident pair contributes nothing (CpdShifted adds its anchor
         # term, which is not a pair term)
         if not isinstance(getattr(k, "kernel", k), CpdShifted):
-            assert np.array_equal(k.plan_grad_y(ys, ys, np.eye(5)), np.zeros((5, d)))
+            for values in (None, k.gram(ys, ys)):
+                assert np.array_equal(k.plan_grad_y(ys, ys, np.eye(5), values), np.zeros((5, d)))
+
+def test_plan_grad_from_values_reads_no_distances_for_closed_forms(monkeypatch, unit_square):
+    # the smoothed distance (1/h) and the Gaussian (-2h/c^2), as kernels and
+    # as costs, take h'(r)/r from their matrix; the given matrix is not written
+    rng = np.random.default_rng(53)
+    xs, ys = rng.random((7, 2)), rng.random((4, 2))
+    plan = rng.random((7, 4))
+    closed = [SmoothedNegativeDistance(unit_square, c=0.05), Gaussian(unit_square, c=0.7)]
+    for k in closed + [NegatedKernel(k) for k in closed]:
+        values = k.gram(xs, ys)
+        kept = values.copy()
+        calls = []
+        monkeypatch.setattr(kernels, "pairwise_distances",
+                            lambda a, b: calls.append(1) or pairwise_distances(a, b))
+        k.plan_grad_y(xs, ys, plan, values)
+        monkeypatch.undo()
+        assert calls == [], type(k).__name__
+        assert np.array_equal(values, kept)
 
 def test_plan_grad_wendland_zero_beyond_support():
     box = BoundingBox(np.zeros(2), np.full(2, 4.0))

@@ -570,6 +570,61 @@ _BAD_STARTS = [
 
 
 @pytest.mark.parametrize("eps", [0.1, math.inf])
+def test_solve_on_given_cost_matrix_bitwise_equal(unit_square, eps):
+    # a prebuilt matrix is an input, not a switch: cross and self problems
+    # return the same bits, and the solution keeps the given array
+    rng = np.random.default_rng(51)
+    cost = AbsDistance(unit_square)
+    mu = random_measure(rng, 9, unit_square)
+    nu = random_measure(rng, 6, unit_square)
+    cfg = SinkhornConfig(epsilon=eps)
+    for a, b in [(mu, nu), (nu, nu)]:
+        c_matrix = cost.matrix(a.points, b.points)
+        built = solve(cost, a, b, cfg, psi0=np.full(len(b), 0.25))
+        given = solve(cost, a, b, cfg, psi0=np.full(len(b), 0.25), cost_matrix=c_matrix)
+        assert given.value == built.value
+        assert given.iterations == built.iterations
+        assert np.array_equal(given.potentials.phi, built.potentials.phi)
+        assert np.array_equal(given.potentials.psi, built.potentials.psi)
+        assert np.array_equal(given.plan.matrix, built.plan.matrix)
+        assert given.duality_gap == built.duality_gap
+        if math.isinf(eps):
+            assert given.cost_matrix is None
+        else:
+            assert given.cost_matrix is c_matrix
+
+
+def _with_entry(c_matrix, value):
+    bad = c_matrix.copy()
+    bad[0, 1] = value
+    return bad
+
+
+_BAD_COST_MATRICES = {
+    "column_short": (lambda c: c[:, :-1], DimensionMismatchError),
+    "row_short": (lambda c: c[:-1], DimensionMismatchError),
+    "flat": (lambda c: c.ravel(), DimensionMismatchError),
+    "three_axes": (lambda c: c[:, :, None], DimensionMismatchError),
+    "nan": (lambda c: _with_entry(c, np.nan), NonFiniteValueError),
+    "minus_inf": (lambda c: _with_entry(c, -np.inf), NonFiniteValueError),
+}
+
+
+@pytest.mark.parametrize("eps", [0.1, math.inf])
+@pytest.mark.parametrize("case", sorted(_BAD_COST_MATRICES))
+def test_solve_rejects_bad_cost_matrix(unit_square, eps, case):
+    bad, error = _BAD_COST_MATRICES[case]
+    rng = np.random.default_rng(52)
+    cost = AbsDistance(unit_square)
+    mu = random_measure(rng, 5, unit_square)
+    nu = random_measure(rng, 4, unit_square)
+    for a, b in [(mu, nu), (nu, nu)]:
+        with pytest.raises(error, match="cost_matrix"):
+            solve(cost, a, b, SinkhornConfig(epsilon=eps),
+                  cost_matrix=bad(cost.matrix(a.points, b.points)))
+
+
+@pytest.mark.parametrize("eps", [0.1, math.inf])
 @pytest.mark.parametrize("psi0, error", _BAD_STARTS)
 def test_solve_rejects_bad_psi0(unit_box, eps, psi0, error):
     # a 5 x 4 cross problem and a 4 x 4 self problem: psi0 runs over nu

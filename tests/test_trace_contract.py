@@ -5,6 +5,7 @@ the package stays unwrapped.
 """
 import dataclasses
 import importlib
+import inspect
 import importlib.util
 from pathlib import Path
 
@@ -41,3 +42,13 @@ def test_solution_fields_read_by_solve_counts(name):
     from sinkdiv.sinkhorn import SinkhornSolution
 
     assert name in {f.name for f in dataclasses.fields(SinkhornSolution)}
+
+
+def test_solve_parameters_read_by_solve_counts():
+    # _solve_counts reads mu, nu and cfg as positional arguments 1 to 3, so
+    # new parameters of solve go after psi0
+    from sinkdiv.sinkhorn import solve
+
+    names = list(inspect.signature(solve).parameters)
+    assert names[:4] == ["cost", "mu", "nu", "cfg"]
+    assert names.index("cost_matrix") == names.index("psi0") + 1
