@@ -39,9 +39,20 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
+def _read_only(array: np.ndarray, given) -> np.ndarray:
+    """array, read-only; copied first when it is (or views) the caller's writable `given`."""
+    if array.flags.writeable and isinstance(given, np.ndarray) and np.may_share_memory(array, given):
+        array = array.copy()
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class BoundingBox:
-    """Axis-aligned compact box [lower_1, upper_1] x ... x [lower_d, upper_d]."""
+    """Axis-aligned compact box [lower_1, upper_1] x ... x [lower_d, upper_d].
+
+    The corners are stored read-only, as DiscreteMeasure stores its arrays.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
@@ -58,10 +69,8 @@ class BoundingBox:
             raise NonFiniteValueError("box corners must be finite")
         if not np.all(lo < hi):
             raise ValueError("box requires lower < upper componentwise")
-        lo.flags.writeable = False
-        hi.flags.writeable = False
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        object.__setattr__(self, "lower", _read_only(lo, self.lower))
+        object.__setattr__(self, "upper", _read_only(hi, self.upper))
 
     @property
     def dim(self) -> int:
@@ -92,8 +101,9 @@ class DiscreteMeasure:
 
     The raw constructor stores points and weights as given, after checking
     their shapes and that every entry is finite; use :meth:`normalized` to
-    renormalize the weights exactly once. Arrays are frozen after
-    construction and safe to share across threads.
+    renormalize the weights exactly once. The stored arrays are read-only
+    and safe to share across threads; a caller's writable array is copied,
+    never frozen, and a read-only one (another measure's) is shared.
     """
 
     points: np.ndarray
@@ -110,12 +120,8 @@ class DiscreteMeasure:
             raise NonFiniteValueError("non-finite point coordinate")
         if not np.all(np.isfinite(w)):
             raise NonFiniteValueError("non-finite weight")
-        pts = np.ascontiguousarray(pts)
-        w = np.ascontiguousarray(w)
-        pts.flags.writeable = False
-        w.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "points", _read_only(np.ascontiguousarray(pts), self.points))
+        object.__setattr__(self, "weights", _read_only(np.ascontiguousarray(w), self.weights))
 
     @classmethod
     def normalized(cls, points, weights=None) -> "DiscreteMeasure":

@@ -1,11 +1,21 @@
 """Sinkhorn solver for entropically regularized optimal transport.
 
-The softmin half-step, one solve (a fixed-point loop, alternating for a
-cross problem and averaged for a self problem, with an oscillation-norm
-stopping rule; at epsilon = inf one exact closed-form alternation, whose
-value is the dual value as at every epsilon), value/plan/gap extraction and
-contraction diagnostics. All exponentials are max-shifted; nothing overflows
-at either extreme of the regularization parameter.
+The softmin half-step, one solve (a fixed-point loop, a safeguarded
+over-relaxed alternation for a cross problem and an averaged update for a
+self problem, with an oscillation-norm stopping rule; at epsilon = inf one
+exact closed-form alternation, whose value is the dual value as at every
+epsilon), value/plan/gap extraction and contraction diagnostics. All
+exponentials are max-shifted; nothing overflows at either extreme of the
+regularization parameter.
+
+A cross solve alternates plainly for 8 turns, then over-relaxes both
+half-steps, phi <- (1 - omega) phi + omega T_nu(psi) and the same for psi,
+with omega taken from the observed residual rate (Thibault, Chizat, Dossal
+& Papadakis 2021, Algorithms 14(5); Lehmann, von Renesse, Sambale &
+Uschmajew 2022, Optim. Lett.). A relaxed turn is kept only while its
+residual contracts by kappa and the dual value does not fall, so the
+residual history contracts as plain alternation is proven to; the rule is
+in _overrelaxed.
 
 Potentials, unique only up to (phi + c, psi - c), always carry the
 normalization sum_i phi_i mu_i = OT_inf / 2, so potentials at different
@@ -22,7 +32,9 @@ per solve by the span max K - min K:
   in log coordinates;
 - otherwise (small eps, where G would underflow): the log-domain form, a
   max-shifted log-sum-exp along either axis of K, whose n x m passes run in
-  one preallocated scratch buffer.
+  one preallocated scratch buffer; beyond _SUBNORMAL_SPAN its exponents are
+  clamped at _EXP_FLOOR, which skips subnormal exponentials and leaves the
+  result's bits as they are.
 
 Both forms feed the same iteration and give the same iterates up to
 rounding.
@@ -114,6 +126,9 @@ class SinkhornSolution:
     `plan` and `duality_gap` are built on first access, together, from the
     potentials and the cost matrix the solve kept (cost_matrix; None at
     epsilon = inf, where the plan is the independent coupling and the gap 0).
+    omega is the relaxation factor the solve ended with: 1 for a self
+    problem, at epsilon = inf and for a cross solve that never relaxed. It
+    is not among the diagnostics.
     """
 
     potentials: PotentialPair
@@ -126,6 +141,7 @@ class SinkhornSolution:
     nu: DiscreteMeasure = field(repr=False)
     cost_matrix: np.ndarray | None = field(repr=False)
     residual_history: np.ndarray = field(repr=False)
+    omega: float
 
     @cached_property
     def _extraction(self) -> tuple[TransportPlan, float]:
@@ -180,20 +196,34 @@ def _log_weights(weights: np.ndarray) -> np.ndarray:
 # sum, for any potential or weight, and the logarithm never sees 0.
 _GIBBS_MAX_SPAN = 500.0
 
+# Floor of the shifted exponents of a log-domain half-step whose K spans more
+# than _SUBNORMAL_SPAN. exp of an argument below about -708 is subnormal or
+# takes a slow underflow path, several times the cost of a normal one. Each
+# sum holds its max term exp(0) = 1, and a clamped term, at most exp(-700) ~
+# 1e-304, is far below half an ulp of any partial sum it meets, so the result
+# has the same bits as without the clamp. Spans within _SUBNORMAL_SPAN skip
+# the extra pass over K.
+_EXP_FLOOR = -700.0
+_SUBNORMAL_SPAN = 708.0
+
 
 def _log_sum_exp(k_matrix: np.ndarray, g: np.ndarray, epsilon: float, axis: int,
-                 out: np.ndarray) -> np.ndarray:
+                 out: np.ndarray, floor: float = -math.inf) -> np.ndarray:
     """-eps log sum exp(K + g) along `axis` of K, max-shifted.
 
     K = -C/eps and g = potential/eps + log w runs along the reduced axis, so
     axis 1 gives the half-step -eps log sum_j w_j exp((phi_j - c_qj)/eps) of
-    each row q; a zero-weight atom has g_j = -inf and adds exp(-inf) = 0.
-    Every pass over K runs in `out` (K's shape; K itself when the caller no
-    longer needs it), so nothing of that size is allocated.
+    each row q; a zero-weight atom has g_j = -inf and adds exp(-inf) = 0
+    (exp(floor) under a floor, too small to reach the sum's last bit). Every
+    pass over K runs in `out` (K's shape; K itself when the caller no
+    longer needs it), so nothing of that size is allocated. A finite `floor`
+    clamps the shifted exponents from below before exp (see _EXP_FLOOR).
     """
     np.add(k_matrix, g if axis == 1 else g[:, None], out=out)
     top = out.max(axis=axis, keepdims=True)
     out -= top
+    if floor > -math.inf:
+        np.maximum(out, floor, out=out)
     np.exp(out, out=out)
     return -epsilon * (top.ravel() + np.log(out.sum(axis=axis)))
 
@@ -292,10 +322,12 @@ def _half_steps(k_matrix: np.ndarray, eps: float, log_w_mu: np.ndarray, log_w_nu
     the other measure's axis of K. The span max K - min K picks the form:
     within _GIBBS_MAX_SPAN, K becomes G = exp(K - max K) in place and a
     half-step is one gemv with no n x m temporary; beyond it (or on a NaN
-    span), a log-sum-exp along either axis of K in one scratch buffer.
+    span), a log-sum-exp along either axis of K in one scratch buffer, with
+    its exponents clamped at _EXP_FLOOR beyond _SUBNORMAL_SPAN.
     """
     k_max = float(np.max(k_matrix))
-    if k_max - float(np.min(k_matrix)) <= _GIBBS_MAX_SPAN:
+    span = k_max - float(np.min(k_matrix))
+    if span <= _GIBBS_MAX_SPAN:
         gibbs = np.exp(np.subtract(k_matrix, k_max, out=k_matrix), out=k_matrix)
 
         def reduce(g, axis):
@@ -305,9 +337,10 @@ def _half_steps(k_matrix: np.ndarray, eps: float, log_w_mu: np.ndarray, log_w_nu
             return -eps * (k_max + top + np.log(sums))
     else:
         scratch = np.empty_like(k_matrix)
+        floor = _EXP_FLOOR if span > _SUBNORMAL_SPAN else -math.inf
 
         def reduce(g, axis):
-            return _log_sum_exp(k_matrix, g, eps, axis, scratch)
+            return _log_sum_exp(k_matrix, g, eps, axis, scratch, floor)
 
     def t_nu(psi):
         return reduce(psi / eps + log_w_nu, axis=1)
@@ -318,35 +351,138 @@ def _half_steps(k_matrix: np.ndarray, eps: float, log_w_mu: np.ndarray, log_w_nu
     return t_nu, t_mu
 
 
-def _fixed_point(c_matrix, mu, nu, cfg, start):
-    """Iterate from psi = start; returns phi, psi, iterations, residuals, converged.
+# Over-relaxation of a cross solve (Thibault, Chizat, Dossal & Papadakis
+# 2021; Lehmann, von Renesse, Sambale & Uschmajew 2022). The first
+# _PLAIN_ITERATIONS turns are plain; their residuals give the plain rate
+# theta = (r_8 / r_4)^(1/4), read after the start-up transient.
+_PLAIN_ITERATIONS = 8
+# A plain rate below this converges fast enough as it is: no relaxation.
+_MIN_RELAX_RATE = 0.5
+# Cap on omega, below the divergence edge omega = 2.
+_MAX_OMEGA = 1.9
+# Accepted relaxed turns between two re-estimates of theta from the relaxed
+# rate (Young's relation); the rate is read over the last four of them.
+_YOUNG_PERIOD = 8
+# A rejected turn halves omega - 1; below this the solve turns plain for good.
+_MIN_OMEGA = 1.05
+# Relative slack of the dual-ascent test, room for rounding in two dot products.
+_DUAL_SLACK = 1e-14
 
-    Each iteration takes phi = t_nu(psi), then psi <- t_mu(phi) (cross) or
-    psi <- (psi + phi) / 2 (self), and one stopping rule reads the psi update.
-    A self problem ends on psi = t_mu(phi), as alternation does. K and
-    whatever the half-steps build from it live only in this frame, so they
-    are released before any plan is extracted.
+
+def _optimal_omega(theta: float) -> float:
+    """omega = 2 / (1 + sqrt(1 - theta)), the optimum for plain rate theta, capped."""
+    return min(_MAX_OMEGA, 2.0 / (1.0 + math.sqrt(1.0 - theta)))
+
+
+def _fixed_point(c_matrix, mu, nu, cfg, start, kappa=1.0):
+    """Iterate from psi = start; returns phi, psi, iterations, residuals, converged, omega.
+
+    K and whatever the half-steps build from it live only in this frame, so
+    they are released before any plan is extracted. A self problem runs
+    _averaged, a cross problem _overrelaxed, whose safeguard reads kappa,
+    the solution's contraction factor (1, the bound that always holds, if
+    not given).
     """
     t_nu, t_mu = _half_steps(c_matrix / -cfg.epsilon, cfg.epsilon,
                              _log_weights(mu.weights), _log_weights(nu.weights))
-    averaged = _is_self_problem(mu, nu)
+    if _is_self_problem(mu, nu):
+        return _averaged(t_nu, t_mu, cfg, start)
+    return _overrelaxed(t_nu, t_mu, mu.weights, nu.weights, cfg, start, kappa)
 
+
+def _averaged(t_nu, t_mu, cfg, start):
+    """psi <- (psi + t_nu(psi)) / 2 until the update is within tol, then psi = t_mu(phi).
+
+    Ending on a plain half-step makes the value the semi-dual of phi, as for
+    a cross problem. omega is 1: this update is never over-relaxed.
+    """
     # SinkhornConfig keeps max_iter >= 1, so the loop binds iterations and phi
     residuals = []
-    converged = False
     psi = start
     for iterations in range(1, cfg.max_iter + 1):
         phi = t_nu(psi)
-        psi_new = 0.5 * (psi + phi) if averaged else t_mu(phi)
-        res = _oscillation(psi_new - psi)
-        residuals.append(res)
+        psi_new = 0.5 * (psi + phi)
+        residuals.append(_oscillation(psi_new - psi))
         psi = psi_new
-        if res <= cfg.tol:
-            converged = True
+        if residuals[-1] <= cfg.tol:
             break
-    if averaged:
-        psi = t_mu(phi)
-    return phi, psi, iterations, residuals, converged
+    return phi, t_mu(phi), iterations, residuals, residuals[-1] <= cfg.tol, 1.0
+
+
+def _overrelaxed(t_nu, t_mu, w_mu, w_nu, cfg, start, kappa):
+    """Safeguarded over-relaxed alternation from psi = start.
+
+    Each turn takes phi <- (1 - omega) phi + omega t_nu(psi), then psi <-
+    (1 - omega) psi + omega t_mu(phi). Its residual is the plain map's update
+    at the new phi, osc(t_mu(phi) - psi), whatever omega is, and the loop
+    stops once a recorded residual is within tol. The solve returns the plain
+    image (phi, t_mu(phi)) of the last turn taken, so the value is the
+    semi-dual of phi, as with plain alternation.
+
+    The first _PLAIN_ITERATIONS turns are plain alternation, bit for bit.
+    Then, if the plain rate theta = (r_8 / r_4)^(1/4) lies in
+    [_MIN_RELAX_RATE, 1), omega = 2 / (1 + sqrt(1 - theta)), capped at
+    _MAX_OMEGA; every _YOUNG_PERIOD accepted relaxed turns, theta is read
+    again from the relaxed rate rho of the last four through Young's relation
+    (rho + omega - 1)^2 = rho omega^2 theta, when omega - 1 < rho < 1 (which
+    keeps theta below 1).
+
+    From then on every turn must do as well as the plain iteration is proven
+    to: its residual is at most kappa times the last recorded one, and a
+    relaxed turn's dual value <phi, w_mu> + <t_mu(phi), w_nu> (the dual
+    objective, whose entropic term is exact after the column half-step)
+    falls no more than _DUAL_SLACK of the best so far below it. A relaxed
+    turn that fails is rejected: the next starts again from the last plain
+    image with omega - 1 halved, and below _MIN_OMEGA omega is 1 for good. A
+    plain turn that fails (the first after relaxed ones, when the last
+    relaxed residual undershot) has no smaller omega to fall back on, so it
+    is taken but not recorded; the plain turns that follow contract again.
+    So `residuals` holds the recorded turns, each at most kappa times the one
+    before, while `iterations` counts every turn, rejected ones included.
+    """
+    residuals = []
+    phi = image = None
+    psi = start
+    # best is the best dual value so far, None until relaxation starts
+    omega, relaxed_turns, best = 1.0, 0, None
+    for iterations in range(1, cfg.max_iter + 1):
+        phi_new = t_nu(psi)
+        if omega > 1.0:
+            phi_new = phi + omega * (phi_new - phi)
+        image_new = t_mu(phi_new)
+        res = _oscillation(image_new - psi)
+        contracts = best is None or res <= kappa * residuals[-1]
+        if omega > 1.0:
+            dual = float(phi_new @ w_mu + image_new @ w_nu)
+            if not contracts or dual < best - _DUAL_SLACK * abs(best):
+                psi = image
+                omega = 1.0 + 0.5 * (omega - 1.0)
+                if omega < _MIN_OMEGA:
+                    omega = 1.0
+                relaxed_turns = 0
+                continue
+            best = max(best, dual)
+            psi = psi + omega * (image_new - psi)
+            relaxed_turns += 1
+        else:
+            psi = image_new
+        phi, image = phi_new, image_new
+        if not contracts:
+            continue
+        residuals.append(res)
+        if res <= cfg.tol:
+            break
+        if iterations == _PLAIN_ITERATIONS:
+            theta = (residuals[-1] / residuals[-5]) ** 0.25
+            if _MIN_RELAX_RATE <= theta < 1.0:
+                omega = _optimal_omega(theta)
+                best = float(phi @ w_mu + image @ w_nu)
+        elif relaxed_turns == _YOUNG_PERIOD:
+            relaxed_turns = 0
+            rho = (residuals[-1] / residuals[-5]) ** 0.25
+            if omega - 1.0 < rho < 1.0:
+                omega = _optimal_omega((rho + omega - 1.0) ** 2 / (rho * omega ** 2))
+    return phi, image, iterations, residuals, residuals[-1] <= cfg.tol, omega
 
 
 def _finite_vector(values, size: int, name: str) -> np.ndarray:
@@ -379,21 +515,28 @@ def solve(
 ) -> SinkhornSolution:
     """Run the Sinkhorn fixed-point iteration to the oscillation-norm tolerance.
 
-    Alternates phi <- T_nu(psi), psi <- T_mu(phi) from psi = 0 (or psi0). A
-    self problem (nu identical to mu), whose plain alternation can oscillate
-    between two symmetric potentials, averages instead: psi <- (psi + phi) / 2
-    (Feydy et al. 2019). It ends on one plain half-step psi = T_mu(phi), so
-    its value <phi, mu> + <psi, mu> is the semi-dual of phi, as for a cross
-    problem: stationary at the fixed point, so second order in the remaining
-    defect. Hitting max_iter returns the last iterate flagged converged=False
-    rather than aborting. The potentials are shifted by opposite constants so
+    A cross problem alternates phi <- T_nu(psi), psi <- T_mu(phi) from psi =
+    0 (or psi0), over-relaxed after 8 plain turns while a safeguard accepts
+    it (_overrelaxed): omega, the relaxation factor it ended with, is kept
+    as SinkhornSolution.omega. The stopping rule reads the plain map's update
+    osc(T_mu(phi) - psi) at every omega, and the solve returns the plain
+    image (phi, T_mu(phi)). `iterations` counts every loop turn, rejected
+    relaxed turns included, while residual_history holds the accepted turns,
+    each residual at most kappa times the one before. A self problem (nu
+    identical to mu), whose plain alternation can oscillate between two
+    symmetric potentials, averages instead: psi <- (psi + phi) / 2 (Feydy et
+    al. 2019), never relaxed. It ends on one plain half-step psi =
+    T_mu(phi), so its value <phi, mu> + <psi, mu> is the semi-dual of phi,
+    as for a cross problem: stationary at the fixed point, so second order
+    in the remaining defect. Hitting max_iter returns the last iterate
+    flagged converged=False rather than aborting. The potentials are shifted by opposite constants so
     that sum_i phi_i mu_i is half the independent-coupling cost, which leaves
     the value and the plan unchanged.
 
     epsilon = math.inf is the closed-form step: the limit half-steps average c
     against the other measure, so one alternation from psi = 0 is exact (phi
-    = C w_nu, psi = C^T w_mu - <phi, mu>; no iteration, kappa = 0, the
-    independent coupling as the plan), and the value is the dual value.
+    = C w_nu, psi = C^T w_mu - <phi, mu>; no iteration, kappa = 0, omega = 1,
+    the independent coupling as the plan), and the value is the dual value.
     psi0 has no effect there; at any epsilon, one that is not a finite vector
     of length len(nu) raises.
 
@@ -415,12 +558,14 @@ def solve(
     row_avg = c_matrix @ w_nu
     # half the independent-coupling cost, the normalization <phi, mu>
     half_ot = 0.5 * float(w_mu @ row_avg)
+    kappa = contraction_estimate(cost, cost.box, eps).kappa
     if math.isinf(eps):
         phi = row_avg
         psi = c_matrix.T @ w_mu - float(phi @ w_mu)
-        iterations, residuals, converged = 0, [], True
+        iterations, residuals, converged, omega = 0, [], True, 1.0
     else:
-        phi, psi, iterations, residuals, converged = _fixed_point(c_matrix, mu, nu, cfg, start)
+        phi, psi, iterations, residuals, converged, omega = _fixed_point(
+            c_matrix, mu, nu, cfg, start, kappa)
 
     delta = half_ot - float(phi @ w_mu)
     phi = phi + delta
@@ -432,12 +577,13 @@ def solve(
         iterations=iterations,
         final_residual=residuals[-1] if residuals else 0.0,
         converged=converged,
-        kappa=contraction_estimate(cost, cost.box, eps).kappa,
+        kappa=kappa,
         mu=mu,
         nu=nu,
         # the independent coupling at epsilon = inf needs no cost matrix
         cost_matrix=None if math.isinf(eps) else c_matrix,
         residual_history=np.array(residuals),
+        omega=omega,
     )
 
 

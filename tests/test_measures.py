@@ -90,6 +90,27 @@ def test_measure_arrays_frozen():
     with pytest.raises(ValueError):
         m.weights[0] = 2.0
 
+@pytest.mark.parametrize("shape", [(4, 2), (4,)])
+def test_caller_arrays_stay_writable(shape):
+    # the measure and the box freeze copies they own, never the caller's arrays
+    rng = np.random.default_rng(3)
+    points, weights = rng.random(shape), rng.random(shape[0]) + 0.1
+    lower, upper = np.zeros(shape[1:] or 1), np.ones(shape[1:] or 1)
+    stored = [uniform(points).points, DiscreteMeasure(points, weights).points,
+              DiscreteMeasure(points, weights).weights]
+    box = BoundingBox(lower, upper)
+    stored += [box.lower, box.upper]
+    for given in (points, weights, lower, upper):
+        assert given.flags.writeable
+    for array in stored:
+        assert not array.flags.writeable
+    before = stored[0].copy()
+    points[...] = 0.5
+    assert np.array_equal(stored[0], before)
+    # a read-only array, such as another measure's, is shared as it is
+    m = DiscreteMeasure(points, weights)
+    assert DiscreteMeasure(m.points, m.weights).points is m.points
+
 
 # ---------------------------------------------------------------------------
 # KL divergence

@@ -123,6 +123,32 @@ def test_half_step_matches_naive_logsumexp_both_orientations(unit_square, eps):
     assert np.max(np.abs(cols - naive_cols)) <= 1e-12
 
 
+def test_log_domain_floor_bitwise_equal_unclamped(unit_box):
+    # K = -C/eps spans 1400 (atoms at both ends of [0, 1]), so the half-steps
+    # clamp the shifted exponents at _EXP_FLOOR; a zero-weight atom (g = -inf)
+    # is clamped too. The clamped terms cannot reach the sum's last bit.
+    rng = np.random.default_rng(27)
+    eps = 1.0 / 1400.0
+    mu, _, _ = _with_zero_weight_atoms(rng, unit_box, 40, [5])
+    nu = random_measure(rng, 30, unit_box)
+    mu = DiscreteMeasure(np.concatenate([[[0.0]], mu.points[1:]]), mu.weights)
+    nu = DiscreteMeasure(np.concatenate([nu.points[:-1], [[1.0]]]), nu.weights)
+    k_matrix = AbsDistance(unit_box).matrix(mu.points, nu.points) / -eps
+    assert float(np.max(k_matrix) - np.min(k_matrix)) > sinkhorn._SUBNORMAL_SPAN
+    log_w_mu, log_w_nu = _log_weights(mu.weights), _log_weights(nu.weights)
+    t_nu, t_mu = _half_steps(k_matrix.copy(), eps, log_w_mu, log_w_nu)
+    scratch = np.empty_like(k_matrix)
+    phi, psi = rng.random(40) - 0.5, rng.random(30) - 0.5
+    for half_step, potential, log_w, axis in [(t_nu, psi, log_w_nu, 1), (t_mu, phi, log_w_mu, 0)]:
+        g = potential / eps + log_w
+        shifted = k_matrix + (g if axis == 1 else g[:, None])
+        shifted -= shifted.max(axis=axis, keepdims=True)
+        # some finite exponents fall below exp's normal range
+        assert np.min(shifted[np.isfinite(shifted)]) < -708.0
+        unclamped = _log_sum_exp(k_matrix, g, eps, axis, scratch)
+        assert np.array_equal(half_step(potential), unclamped)
+
+
 def _both_half_steps(monkeypatch, c_matrix, eps, log_w_mu, log_w_nu):
     # each form owns the K it is given: the Gibbs one overwrites it with G,
     # whose largest entry is exp(0) = 1
@@ -517,6 +543,89 @@ def test_self_solve_is_averaged_recursion_ending_on_half_step(unit_box, eps):
     # psi is the half-step of phi, which the shift commutes with
     half_step = softmin(cost, mu, sol.potentials.phi, eps, mu.points)
     assert np.max(np.abs(sol.potentials.psi - half_step)) <= 1e-12
+
+def test_cross_solve_matches_plain_alternation(unit_square):
+    # plain alternation written out with softmin, from psi = 0 to the same tol;
+    # the over-relaxed solve reaches the same fixed point
+    rng = np.random.default_rng(11)
+    cost = AbsDistance(unit_square)
+    mu = random_measure(rng, 25, unit_square)
+    nu = random_measure(rng, 35, unit_square)
+    relaxed = 0
+    for eps in [1e-2, 0.1, 1.0, 10.0, 1e3]:
+        sol = solve(cost, mu, nu, SinkhornConfig(epsilon=eps))
+        assert sol.converged
+        relaxed += sol.omega > 1.0
+        psi = np.zeros(len(nu))
+        while True:
+            phi = softmin(cost, nu, psi, eps, mu.points)
+            psi_new = softmin(cost, mu, phi, eps, nu.points)
+            res = 0.5 * float(np.max(psi_new - psi) - np.min(psi_new - psi))
+            psi = psi_new
+            if res <= 1e-10:
+                break
+        delta = 0.5 * ot_infinity(cost, mu, nu).ot_inf - float(phi @ mu.weights)
+        value = float((phi + delta) @ mu.weights + (psi - delta) @ nu.weights)
+        assert sol.value == pytest.approx(value, abs=1e-12)
+        assert np.max(np.abs(sol.potentials.phi - (phi + delta))) <= 1e-8
+        assert np.max(np.abs(sol.potentials.psi - (psi - delta))) <= 1e-8
+        # the solve returns the plain image: psi is the half-step of phi
+        half_step = softmin(cost, mu, sol.potentials.phi, eps, nu.points)
+        assert np.max(np.abs(sol.potentials.psi - half_step)) <= 1e-12
+    assert relaxed >= 1
+
+def test_overrelaxation_cuts_iterations(monkeypatch, unit_square):
+    rng = np.random.default_rng(31)
+    cost = AbsDistance(unit_square)
+    mu = random_measure(rng, 300, unit_square)
+    nu = random_measure(rng, 300, unit_square)
+    cfg = SinkhornConfig(epsilon=0.1)
+    sol = solve(cost, mu, nu, cfg)
+    # no plain rate reaches an infinite threshold, so the reference never relaxes
+    monkeypatch.setattr(sinkhorn, "_MIN_RELAX_RATE", math.inf)
+    plain = solve(cost, mu, nu, cfg)
+    assert sol.converged and plain.converged and plain.omega == 1.0
+    assert sol.omega > 1.0
+    assert sol.iterations <= 0.6 * plain.iterations
+    assert sol.value == pytest.approx(plain.value, abs=1e-12)
+
+def test_max_iter_counts_rejected_turns(unit_square):
+    # at eps = 1e-3 the safeguard rejects the relaxed turns: they count as
+    # iterations, but residual_history records accepted turns only
+    rng = np.random.default_rng(31)
+    cost = AbsDistance(unit_square)
+    mu = random_measure(rng, 300, unit_square)
+    nu = random_measure(rng, 300, unit_square)
+    sol = solve(cost, mu, nu, SinkhornConfig(epsilon=1e-3, max_iter=50))
+    assert not sol.converged
+    assert sol.iterations == 50
+    assert sol.residual_history.size < 50
+    assert sol.final_residual == sol.residual_history[-1]
+
+def test_warm_start_from_converged_psi_takes_one_plain_turn(unit_square):
+    rng = np.random.default_rng(32)
+    cost = AbsDistance(unit_square)
+    mu = random_measure(rng, 60, unit_square)
+    nu = random_measure(rng, 50, unit_square)
+    cfg = SinkhornConfig(epsilon=0.1)
+    cold = solve(cost, mu, nu, cfg)
+    assert cold.omega > 1.0
+    warm = solve(cost, mu, nu, cfg, psi0=cold.potentials.psi)
+    assert warm.converged and warm.iterations == 1 and warm.omega == 1.0
+    assert warm.value == pytest.approx(cold.value, abs=1e-12)
+
+def test_omega_is_one_without_relaxation(unit_square):
+    rng = np.random.default_rng(33)
+    cost = AbsDistance(unit_square)
+    mu = random_measure(rng, 60, unit_square)
+    nu = random_measure(rng, 50, unit_square)
+    # a self problem, the limit and a fast plain rate (eps = 10) never relax
+    for a, b, eps in [(mu, mu, 0.1), (mu, nu, math.inf), (mu, nu, 10.0)]:
+        sol = solve(cost, a, b, SinkhornConfig(epsilon=eps))
+        assert sol.omega == 1.0
+        # omega is a field of the solution, not a diagnostic
+        assert sorted(sol.diagnostics()) == [
+            "duality_gap", "epsilon", "final_residual", "iterations", "kappa", "value"]
 
 def test_observed_contraction_bounded(unit_box):
     for sol in _battery(unit_box):
