@@ -12,10 +12,13 @@ A cross solve alternates plainly for 8 turns, then over-relaxes both
 half-steps, phi <- (1 - omega) phi + omega T_nu(psi) and the same for psi,
 with omega taken from the observed residual rate (Thibault, Chizat, Dossal
 & Papadakis 2021, Algorithms 14(5); Lehmann, von Renesse, Sambale &
-Uschmajew 2022, Optim. Lett.). A relaxed turn is kept only while its
-residual contracts by kappa and the dual value does not fall, so the
-residual history contracts as plain alternation is proven to; the rule is
-in _overrelaxed.
+Uschmajew 2022, Optim. Lett.). A relaxed turn's residual adds to the plain
+update the part of the row step that omega carried past the plain one, so
+it bounds the kept pair's distance from a fixed point as the plain update
+does. A relaxed turn is kept only while that residual contracts by kappa
+and the dual value does not fall, so the residual history of every kept
+turn contracts as plain alternation is proven to; the rule is in
+_overrelaxed.
 
 Potentials, unique only up to (phi + c, psi - c), always carry the
 normalization sum_i phi_i mu_i = OT_inf / 2, so potentials at different
@@ -32,9 +35,9 @@ per solve by the span max K - min K:
   in log coordinates;
 - otherwise (small eps, where G would underflow): the log-domain form, a
   max-shifted log-sum-exp along either axis of K, whose n x m passes run in
-  one preallocated scratch buffer; beyond _SUBNORMAL_SPAN its exponents are
-  clamped at _EXP_FLOOR, which skips subnormal exponentials and leaves the
-  result's bits as they are.
+  one preallocated scratch buffer; its exponents are clamped at _EXP_FLOOR,
+  which skips subnormal exponentials and leaves the result's bits as they
+  are.
 
 Both forms feed the same iteration and give the same iterates up to
 rounding.
@@ -69,8 +72,9 @@ class SinkhornConfig:
     """Solver configuration.
 
     epsilon may be math.inf, the independent-coupling limit. tol bounds the
-    oscillation norm (half of max minus min) of successive updates of the
-    second potential.
+    oscillation norm (half of max minus min) of the last update of the
+    second potential, plus, after an over-relaxed turn, the part of the row
+    step the relaxation carried past the plain one (see solve).
     """
 
     epsilon: float
@@ -196,34 +200,29 @@ def _log_weights(weights: np.ndarray) -> np.ndarray:
 # sum, for any potential or weight, and the logarithm never sees 0.
 _GIBBS_MAX_SPAN = 500.0
 
-# Floor of the shifted exponents of a log-domain half-step whose K spans more
-# than _SUBNORMAL_SPAN. exp of an argument below about -708 is subnormal or
-# takes a slow underflow path, several times the cost of a normal one. Each
-# sum holds its max term exp(0) = 1, and a clamped term, at most exp(-700) ~
-# 1e-304, is far below half an ulp of any partial sum it meets, so the result
-# has the same bits as without the clamp. Spans within _SUBNORMAL_SPAN skip
-# the extra pass over K.
+# Floor of the shifted exponents of a log-sum-exp. exp of an argument below
+# about -708 is subnormal or takes a slow underflow path, several times the
+# cost of a normal one. Each sum holds its max term exp(0) = 1, and a clamped
+# term, at most exp(-700) ~ 1e-304, is far below half an ulp of any partial
+# sum it meets, so the result has the same bits as without the clamp.
 _EXP_FLOOR = -700.0
-_SUBNORMAL_SPAN = 708.0
 
 
 def _log_sum_exp(k_matrix: np.ndarray, g: np.ndarray, epsilon: float, axis: int,
-                 out: np.ndarray, floor: float = -math.inf) -> np.ndarray:
+                 out: np.ndarray) -> np.ndarray:
     """-eps log sum exp(K + g) along `axis` of K, max-shifted.
 
     K = -C/eps and g = potential/eps + log w runs along the reduced axis, so
     axis 1 gives the half-step -eps log sum_j w_j exp((phi_j - c_qj)/eps) of
-    each row q; a zero-weight atom has g_j = -inf and adds exp(-inf) = 0
-    (exp(floor) under a floor, too small to reach the sum's last bit). Every
-    pass over K runs in `out` (K's shape; K itself when the caller no
-    longer needs it), so nothing of that size is allocated. A finite `floor`
-    clamps the shifted exponents from below before exp (see _EXP_FLOOR).
+    each row q; a zero-weight atom has g_j = -inf and adds exp(_EXP_FLOOR),
+    too small to reach the sum's last bit. Every pass over K runs in `out`
+    (K's shape; K itself when the caller no longer needs it), so nothing of
+    that size is allocated.
     """
     np.add(k_matrix, g if axis == 1 else g[:, None], out=out)
     top = out.max(axis=axis, keepdims=True)
     out -= top
-    if floor > -math.inf:
-        np.maximum(out, floor, out=out)
+    np.maximum(out, _EXP_FLOOR, out=out)
     np.exp(out, out=out)
     return -epsilon * (top.ravel() + np.log(out.sum(axis=axis)))
 
@@ -322,12 +321,10 @@ def _half_steps(k_matrix: np.ndarray, eps: float, log_w_mu: np.ndarray, log_w_nu
     the other measure's axis of K. The span max K - min K picks the form:
     within _GIBBS_MAX_SPAN, K becomes G = exp(K - max K) in place and a
     half-step is one gemv with no n x m temporary; beyond it (or on a NaN
-    span), a log-sum-exp along either axis of K in one scratch buffer, with
-    its exponents clamped at _EXP_FLOOR beyond _SUBNORMAL_SPAN.
+    span), a log-sum-exp along either axis of K in one scratch buffer.
     """
     k_max = float(np.max(k_matrix))
-    span = k_max - float(np.min(k_matrix))
-    if span <= _GIBBS_MAX_SPAN:
+    if k_max - float(np.min(k_matrix)) <= _GIBBS_MAX_SPAN:
         gibbs = np.exp(np.subtract(k_matrix, k_max, out=k_matrix), out=k_matrix)
 
         def reduce(g, axis):
@@ -337,10 +334,9 @@ def _half_steps(k_matrix: np.ndarray, eps: float, log_w_mu: np.ndarray, log_w_nu
             return -eps * (k_max + top + np.log(sums))
     else:
         scratch = np.empty_like(k_matrix)
-        floor = _EXP_FLOOR if span > _SUBNORMAL_SPAN else -math.inf
 
         def reduce(g, axis):
-            return _log_sum_exp(k_matrix, g, eps, axis, scratch, floor)
+            return _log_sum_exp(k_matrix, g, eps, axis, scratch)
 
     def t_nu(psi):
         return reduce(psi / eps + log_w_nu, axis=1)
@@ -360,9 +356,16 @@ _PLAIN_ITERATIONS = 8
 _MIN_RELAX_RATE = 0.5
 # Cap on omega, below the divergence edge omega = 2.
 _MAX_OMEGA = 1.9
-# Accepted relaxed turns between two re-estimates of theta from the relaxed
+# Cap on the first omega - 1, as a share of 1 - theta. The first relaxed
+# turn's residual ratio rises above theta by about 1.6 (omega - 1) (seen on
+# random pairs at eps from 1e-3 to 0.1), so a larger first step is mostly
+# rejected, and near theta = 1 the cap keeps omega plain.
+_FIRST_SHARE = 0.5
+# Kept relaxed turns between two re-estimates of theta from the relaxed
 # rate (Young's relation); the rate is read over the last four of them.
-_YOUNG_PERIOD = 8
+_YOUNG_PERIOD = 6
+# A re-estimate raises omega - 1 by at most this factor, for the same reason.
+_MAX_GROWTH = 2.0
 # A rejected turn halves omega - 1; below this the solve turns plain for good.
 _MIN_OMEGA = 1.05
 # Relative slack of the dual-ascent test, room for rounding in two dot products.
@@ -374,14 +377,13 @@ def _optimal_omega(theta: float) -> float:
     return min(_MAX_OMEGA, 2.0 / (1.0 + math.sqrt(1.0 - theta)))
 
 
-def _fixed_point(c_matrix, mu, nu, cfg, start, kappa=1.0):
+def _fixed_point(c_matrix, mu, nu, cfg, start, kappa):
     """Iterate from psi = start; returns phi, psi, iterations, residuals, converged, omega.
 
     K and whatever the half-steps build from it live only in this frame, so
     they are released before any plan is extracted. A self problem runs
     _averaged, a cross problem _overrelaxed, whose safeguard reads kappa,
-    the solution's contraction factor (1, the bound that always holds, if
-    not given).
+    the solution's contraction factor.
     """
     t_nu, t_mu = _half_steps(c_matrix / -cfg.epsilon, cfg.epsilon,
                              _log_weights(mu.weights), _log_weights(nu.weights))
@@ -412,54 +414,64 @@ def _averaged(t_nu, t_mu, cfg, start):
 def _overrelaxed(t_nu, t_mu, w_mu, w_nu, cfg, start, kappa):
     """Safeguarded over-relaxed alternation from psi = start.
 
-    Each turn takes phi <- (1 - omega) phi + omega t_nu(psi), then psi <-
-    (1 - omega) psi + omega t_mu(phi). Its residual is the plain map's update
-    at the new phi, osc(t_mu(phi) - psi), whatever omega is, and the loop
-    stops once a recorded residual is within tol. The solve returns the plain
-    image (phi, t_mu(phi)) of the last turn taken, so the value is the
-    semi-dual of phi, as with plain alternation.
+    Each turn takes phi <- phi + omega (t_nu(psi) - phi), then psi <- psi +
+    omega (t_mu(phi) - psi), and keeps the pair (phi, t_mu(phi)), the plain
+    image, which the solve returns: the value is the semi-dual of phi, as
+    with plain alternation. A turn's residual is the plain map's update
+    osc(t_mu(phi) - psi) plus (omega - 1) osc(t_nu(psi) - phi_prev), the
+    part of the row step that omega carried past t_nu(psi). t_nu contracts
+    the oscillation by kappa <= 1, so the residual bounds the row defect
+    osc(t_nu(t_mu(phi)) - phi) of the kept pair, as the plain update does at
+    omega = 1. Hence stopping on it (residual within tol) leaves the
+    returned pair as close to a fixed point as plain alternation does, and a
+    plain turn from a kept pair's image has a residual at most kappa times
+    that pair's.
 
     The first _PLAIN_ITERATIONS turns are plain alternation, bit for bit.
     Then, if the plain rate theta = (r_8 / r_4)^(1/4) lies in
-    [_MIN_RELAX_RATE, 1), omega = 2 / (1 + sqrt(1 - theta)), capped at
-    _MAX_OMEGA; every _YOUNG_PERIOD accepted relaxed turns, theta is read
-    again from the relaxed rate rho of the last four through Young's relation
+    [_MIN_RELAX_RATE, 1), omega = 2 / (1 + sqrt(1 - theta)), with omega - 1
+    capped at _FIRST_SHARE (1 - theta); below _MIN_OMEGA the solve stays
+    plain. Every _YOUNG_PERIOD kept relaxed turns, theta is read again from
+    the relaxed rate rho of the last four through Young's relation
     (rho + omega - 1)^2 = rho omega^2 theta, when omega - 1 < rho < 1 (which
-    keeps theta below 1).
+    keeps theta below 1), and omega moves to its optimum, capped at
+    _MAX_OMEGA and at _MAX_GROWTH times the old omega - 1.
 
-    From then on every turn must do as well as the plain iteration is proven
-    to: its residual is at most kappa times the last recorded one, and a
-    relaxed turn's dual value <phi, w_mu> + <t_mu(phi), w_nu> (the dual
-    objective, whose entropic term is exact after the column half-step)
-    falls no more than _DUAL_SLACK of the best so far below it. A relaxed
-    turn that fails is rejected: the next starts again from the last plain
-    image with omega - 1 halved, and below _MIN_OMEGA omega is 1 for good. A
-    plain turn that fails (the first after relaxed ones, when the last
-    relaxed residual undershot) has no smaller omega to fall back on, so it
-    is taken but not recorded; the plain turns that follow contract again.
-    So `residuals` holds the recorded turns, each at most kappa times the one
-    before, while `iterations` counts every turn, rejected ones included.
+    A relaxed turn is kept only if its residual is at most kappa times the
+    last kept one and its dual value <phi, w_mu> + <t_mu(phi), w_nu> (the
+    dual objective, whose entropic term is exact after the column half-step)
+    falls no more than _DUAL_SLACK of the best so far below it. A turn that
+    fails is rejected: the next starts again from the last kept pair's
+    plain image with omega - 1 halved (omega is 1 for good below
+    _MIN_OMEGA), and once a turn at a re-estimated omega has been rejected,
+    theta is not read again. Plain turns need no test: by the bound above
+    they contract by kappa. So `residuals` holds every kept turn, each at
+    most kappa times the one before, the last one that of the returned pair,
+    and `iterations` counts every turn, rejected ones too.
     """
     residuals = []
     phi = image = None
     psi = start
     # best is the best dual value so far, None until relaxation starts
     omega, relaxed_turns, best = 1.0, 0, None
+    # re-estimates stop once a turn at a re-estimated omega is rejected
+    grow, reestimated = True, False
     for iterations in range(1, cfg.max_iter + 1):
         phi_new = t_nu(psi)
         if omega > 1.0:
-            phi_new = phi + omega * (phi_new - phi)
+            step = phi_new - phi
+            phi_new = phi + omega * step
         image_new = t_mu(phi_new)
         res = _oscillation(image_new - psi)
-        contracts = best is None or res <= kappa * residuals[-1]
         if omega > 1.0:
+            res += (omega - 1.0) * _oscillation(step)
             dual = float(phi_new @ w_mu + image_new @ w_nu)
-            if not contracts or dual < best - _DUAL_SLACK * abs(best):
+            if res > kappa * residuals[-1] or dual < best - _DUAL_SLACK * abs(best):
                 psi = image
                 omega = 1.0 + 0.5 * (omega - 1.0)
                 if omega < _MIN_OMEGA:
                     omega = 1.0
-                relaxed_turns = 0
+                relaxed_turns, grow = 0, grow and not reestimated
                 continue
             best = max(best, dual)
             psi = psi + omega * (image_new - psi)
@@ -467,21 +479,22 @@ def _overrelaxed(t_nu, t_mu, w_mu, w_nu, cfg, start, kappa):
         else:
             psi = image_new
         phi, image = phi_new, image_new
-        if not contracts:
-            continue
         residuals.append(res)
         if res <= cfg.tol:
             break
         if iterations == _PLAIN_ITERATIONS:
             theta = (residuals[-1] / residuals[-5]) ** 0.25
             if _MIN_RELAX_RATE <= theta < 1.0:
-                omega = _optimal_omega(theta)
-                best = float(phi @ w_mu + image @ w_nu)
-        elif relaxed_turns == _YOUNG_PERIOD:
+                first = min(_optimal_omega(theta), 1.0 + _FIRST_SHARE * (1.0 - theta))
+                if first >= _MIN_OMEGA:
+                    omega, best = first, float(phi @ w_mu + image @ w_nu)
+        elif grow and relaxed_turns == _YOUNG_PERIOD:
             relaxed_turns = 0
             rho = (residuals[-1] / residuals[-5]) ** 0.25
             if omega - 1.0 < rho < 1.0:
-                omega = _optimal_omega((rho + omega - 1.0) ** 2 / (rho * omega ** 2))
+                theta = (rho + omega - 1.0) ** 2 / (rho * omega ** 2)
+                omega = min(_optimal_omega(theta), 1.0 + _MAX_GROWTH * (omega - 1.0))
+                reestimated = True
     return phi, image, iterations, residuals, residuals[-1] <= cfg.tol, omega
 
 
@@ -519,19 +532,22 @@ def solve(
     0 (or psi0), over-relaxed after 8 plain turns while a safeguard accepts
     it (_overrelaxed): omega, the relaxation factor it ended with, is kept
     as SinkhornSolution.omega. The stopping rule reads the plain map's update
-    osc(T_mu(phi) - psi) at every omega, and the solve returns the plain
-    image (phi, T_mu(phi)). `iterations` counts every loop turn, rejected
-    relaxed turns included, while residual_history holds the accepted turns,
-    each residual at most kappa times the one before. A self problem (nu
+    osc(T_mu(phi) - psi), plus, on a relaxed turn, (omega - 1) times the row
+    step, so it bounds the row defect osc(T_nu(psi) - phi) of the returned
+    plain image (phi, T_mu(phi)) at every omega. `iterations` counts every
+    loop turn, rejected relaxed turns included, while residual_history holds
+    every kept turn, each residual at most kappa times the one before, and
+    final_residual is that of the returned pair. A self problem (nu
     identical to mu), whose plain alternation can oscillate between two
     symmetric potentials, averages instead: psi <- (psi + phi) / 2 (Feydy et
     al. 2019), never relaxed. It ends on one plain half-step psi =
     T_mu(phi), so its value <phi, mu> + <psi, mu> is the semi-dual of phi,
     as for a cross problem: stationary at the fixed point, so second order
-    in the remaining defect. Hitting max_iter returns the last iterate
-    flagged converged=False rather than aborting. The potentials are shifted by opposite constants so
-    that sum_i phi_i mu_i is half the independent-coupling cost, which leaves
-    the value and the plan unchanged.
+    in the remaining defect. Hitting max_iter returns the last kept iterate
+    flagged converged=False rather than aborting. The potentials are
+    shifted by opposite constants so that sum_i phi_i mu_i is half the
+    independent-coupling cost, which leaves the value and the plan
+    unchanged.
 
     epsilon = math.inf is the closed-form step: the limit half-steps average c
     against the other measure, so one alternation from psi = 0 is exact (phi

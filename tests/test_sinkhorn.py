@@ -125,8 +125,9 @@ def test_half_step_matches_naive_logsumexp_both_orientations(unit_square, eps):
 
 def test_log_domain_floor_bitwise_equal_unclamped(unit_box):
     # K = -C/eps spans 1400 (atoms at both ends of [0, 1]), so the half-steps
-    # clamp the shifted exponents at _EXP_FLOOR; a zero-weight atom (g = -inf)
-    # is clamped too. The clamped terms cannot reach the sum's last bit.
+    # clamp shifted exponents below exp's normal range at _EXP_FLOOR; a
+    # zero-weight atom (g = -inf) is clamped too. The clamped terms cannot
+    # reach the sum's last bit.
     rng = np.random.default_rng(27)
     eps = 1.0 / 1400.0
     mu, _, _ = _with_zero_weight_atoms(rng, unit_box, 40, [5])
@@ -134,18 +135,17 @@ def test_log_domain_floor_bitwise_equal_unclamped(unit_box):
     mu = DiscreteMeasure(np.concatenate([[[0.0]], mu.points[1:]]), mu.weights)
     nu = DiscreteMeasure(np.concatenate([nu.points[:-1], [[1.0]]]), nu.weights)
     k_matrix = AbsDistance(unit_box).matrix(mu.points, nu.points) / -eps
-    assert float(np.max(k_matrix) - np.min(k_matrix)) > sinkhorn._SUBNORMAL_SPAN
     log_w_mu, log_w_nu = _log_weights(mu.weights), _log_weights(nu.weights)
     t_nu, t_mu = _half_steps(k_matrix.copy(), eps, log_w_mu, log_w_nu)
-    scratch = np.empty_like(k_matrix)
     phi, psi = rng.random(40) - 0.5, rng.random(30) - 0.5
     for half_step, potential, log_w, axis in [(t_nu, psi, log_w_nu, 1), (t_mu, phi, log_w_mu, 0)]:
         g = potential / eps + log_w
         shifted = k_matrix + (g if axis == 1 else g[:, None])
-        shifted -= shifted.max(axis=axis, keepdims=True)
+        top = shifted.max(axis=axis)
+        shifted -= np.expand_dims(top, axis)
         # some finite exponents fall below exp's normal range
         assert np.min(shifted[np.isfinite(shifted)]) < -708.0
-        unclamped = _log_sum_exp(k_matrix, g, eps, axis, scratch)
+        unclamped = -eps * (top + np.log(np.exp(shifted).sum(axis=axis)))
         assert np.array_equal(half_step(potential), unclamped)
 
 
@@ -236,6 +236,7 @@ def test_gibbs_solve_peak_memory_within_four_cost_sized_arrays(unit_square):
     array_bytes = n * n * 8
     # O(n) vectors and the allocator's bookkeeping, far below one n x n array
     slack = array_bytes // 8
+    kappa = contraction_estimate(cost, unit_square, cfg.epsilon).kappa
     for a, b in [(mu, nu), (mu, mu)]:
         c_matrix = cost.matrix(a.points, b.points)
         tracemalloc.start()
@@ -243,7 +244,7 @@ def test_gibbs_solve_peak_memory_within_four_cost_sized_arrays(unit_square):
             solve(cost, a, b, cfg).duality_gap
             _, solve_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            _fixed_point(c_matrix, a, b, cfg, np.zeros(n))
+            _fixed_point(c_matrix, a, b, cfg, np.zeros(n), kappa)
             _, fixed_point_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -589,17 +590,61 @@ def test_overrelaxation_cuts_iterations(monkeypatch, unit_square):
     assert sol.iterations <= 0.6 * plain.iterations
     assert sol.value == pytest.approx(plain.value, abs=1e-12)
 
-def test_max_iter_counts_rejected_turns(unit_square):
-    # at eps = 1e-3 the safeguard rejects the relaxed turns: they count as
-    # iterations, but residual_history records accepted turns only
-    rng = np.random.default_rng(31)
-    cost = AbsDistance(unit_square)
-    mu = random_measure(rng, 300, unit_square)
-    nu = random_measure(rng, 300, unit_square)
-    sol = solve(cost, mu, nu, SinkhornConfig(epsilon=1e-3, max_iter=50))
+def _relaxed_pair(seed):
+    rng = np.random.default_rng(seed)
+    dim = 1 + seed % 2
+    n, m = rng.integers(5, 60), rng.integers(5, 60)
+    box = BoundingBox(np.zeros(dim), np.ones(dim))
+    cost = AbsDistance(box) if seed % 3 else PowerDistance(box, p=2.0)
+    mu = DiscreteMeasure.normalized(rng.random((n, dim)), rng.random(n) + 1e-3)
+    nu = DiscreteMeasure.normalized(rng.random((m, dim)), rng.random(m) + 1e-3)
+    return cost, mu, nu
+
+
+def _relaxed_battery():
+    # seeded pairs whose cross solves relax at eps = 0.03, with rejected
+    # turns; without the (omega - 1) term in the relaxed residual, a plain
+    # turn after a rejection grows the residual by 40% (seed 14) and the
+    # stopping rule leaves a row defect of 5 tol (seed 9)
+    for seed in (9, 14):
+        cost, mu, nu = _relaxed_pair(seed)
+        for eps in [0.03, 0.1]:
+            yield cost, mu, nu, solve(cost, mu, nu, SinkhornConfig(epsilon=eps))
+
+
+def test_relaxed_history_records_every_kept_turn():
+    rejected = relaxed = 0
+    for _, _, _, sol in _relaxed_battery():
+        hist = sol.residual_history
+        assert sol.converged and sol.final_residual == hist[-1]
+        # every kept turn contracts by kappa, the plain turns after a rejection too
+        assert np.all(hist[1:] <= sol.kappa * hist[:-1] + 1e-6 * hist[:-1])
+        rejected += sol.iterations - hist.size
+        relaxed += sol.omega > 1.0
+    assert rejected > 0 and relaxed > 0
+
+
+def test_relaxed_stop_bounds_the_returned_pairs_defect():
+    # as for plain alternation, the final residual bounds the row defect of
+    # the returned pair (psi is the half-step of phi), and a further plain
+    # turn from it moves psi by no more than kappa times it
+    for cost, mu, nu, sol in _relaxed_battery():
+        eps, phi, psi = sol.potentials.epsilon, sol.potentials.phi, sol.potentials.psi
+        row = softmin(cost, nu, psi, eps, mu.points)
+        assert 0.5 * float(np.max(row - phi) - np.min(row - phi)) <= sol.final_residual + 1e-15
+        step = softmin(cost, mu, row, eps, nu.points) - psi
+        assert 0.5 * float(np.max(step) - np.min(step)) <= sol.kappa * sol.final_residual + 1e-15
+
+
+def test_max_iter_counts_rejected_turns():
+    # the safeguard rejects relaxed turns of this solve within its first 30
+    # turns: they count as iterations, but residual_history records the
+    # kept turns only
+    cost, mu, nu = _relaxed_pair(14)
+    sol = solve(cost, mu, nu, SinkhornConfig(epsilon=0.03, max_iter=30))
     assert not sol.converged
-    assert sol.iterations == 50
-    assert sol.residual_history.size < 50
+    assert sol.iterations == 30
+    assert sol.residual_history.size < 30
     assert sol.final_residual == sol.residual_history[-1]
 
 def test_warm_start_from_converged_psi_takes_one_plain_turn(unit_square):
