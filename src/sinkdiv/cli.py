@@ -2,8 +2,9 @@
 
 Subcommands: compute, sweep, dither, potentials. Configuration comes from a
 JSON file plus repeatable --set key=value overrides; outputs are CSV/JSON
-plot data written atomically. Exit codes: 0 success, 1 configuration error,
-2 solver failure (suppressed by --allow-partial).
+plot data written atomically. Exit codes: 0 success, 1 configuration, input
+or out-of-memory error (one line, never a traceback), 2 solver failure
+(suppressed by --allow-partial).
 """
 from __future__ import annotations
 
@@ -349,6 +350,10 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's message names the array that did not fit
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
 
 

@@ -11,8 +11,19 @@ the distances, the profile, a NegatedKernel's negation and a CpdShifted
 anchor shift all run on a block that stays in L2 cache, and only the finished
 block is written to the result. Every entry comes from the same elementwise
 operations as on the whole matrix, so the bits do not depend on the blocks.
+
+A matrix of _PARALLEL_CELLS cells or more runs its blocks, and the Sinkhorn
+solve its passes over row or column parts (_pool_parts), on the calling
+thread and a thread pool (_run_parts), as many threads as there are CPUs
+per BLAS thread (_pool_width). numpy releases the GIL inside each part, and
+each part computes exactly what the whole-matrix pass computes for its rows
+or columns, so the pool changes how many CPUs work, never a bit of the
+result.
 """
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -32,6 +43,120 @@ _LIPSCHITZ_INFLATION = 1.05
 # 512 KiB, so a block and the few temporaries built from it fit in a 2 MiB L2
 # cache. A matrix that already fits (dither's 900 x 50 solves) is one block.
 _BLOCK_CELLS = 1 << 16
+
+# Cells of the smallest matrix whose passes run on the pool. Handing parts
+# to pool threads costs 35-75 us per pass, and a gemv split in two on one
+# BLAS thread loses at 900^2 (319 -> 419 us) but wins from 1024^2
+# (392 -> 328 us), so every smaller matrix (all of dither's) stays on the
+# calling thread.
+_PARALLEL_CELLS = 1 << 20
+
+
+def _pool_width(environ, cpus: int) -> int:
+    """Pool threads that fit beside BLAS: max(1, cpus // BLAS threads).
+
+    The BLAS thread count is the positive integer in OPENBLAS_NUM_THREADS,
+    else in OMP_NUM_THREADS, else cpus, which is what OpenBLAS takes when
+    neither is set; so an unpinned BLAS gets width 1 and no pool.
+    """
+    threads = cpus
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            value = int(environ.get(name, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            threads = value
+            break
+    return max(1, cpus // threads)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# Read once, as BLAS reads its own settings once when numpy loads it.
+_WIDTH = _pool_width(os.environ, _usable_cpus())
+# The executor, made on first use, so importing the package starts no thread
+# and loads no concurrent.futures.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    # a forked child inherits the executor but not its threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _executor():
+    # the calling thread works too, so the pool needs one thread fewer
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(max_workers=max(1, _WIDTH - 1),
+                                       thread_name_prefix="sinkdiv")
+        return _pool
+
+
+def _pool_parts(length: int, cells: int) -> list[slice]:
+    """Slices of range(length), one per thread of a pass, each starting on a multiple of 8.
+
+    A matrix of fewer than _PARALLEL_CELLS cells, or a pool width of 1,
+    gets the one slice of the whole range. Parts start on multiples of 8
+    for the reason blocks do (_row_blocks); a part of columns is also a
+    whole dot product per output entry, so it needs no partial sums.
+    """
+    if cells < _PARALLEL_CELLS or _WIDTH == 1:
+        return [slice(0, length)]
+    size = max(8, (-(-length // _WIDTH) + 7) // 8 * 8)
+    return [slice(start, min(start + size, length)) for start in range(0, length, size)]
+
+
+def _run_parts(task, parts: list, cells: int) -> list:
+    """[task(part) for part in parts], shared with the pool when that pays.
+
+    The parts run on the calling thread alone when there is one part, the
+    pool width is 1 or the matrix has fewer than _PARALLEL_CELLS cells.
+    Otherwise the calling thread and up to _WIDTH - 1 pool threads take the
+    next part in turn until none is left, so a pool thread that starts late
+    leaves its parts to the calling thread instead of holding the pass up.
+    A task must not reach the pool itself; the tasks here evaluate
+    at most one block, which is one part. Every task ends before this
+    returns, and a failing task's exception is raised as it was. Pool
+    threads start with numpy's default errstate, so a task that needs
+    another sets it itself.
+    """
+    if len(parts) == 1 or _WIDTH == 1 or cells < _PARALLEL_CELLS:
+        return [task(part) for part in parts]
+    from concurrent.futures import wait
+    results = [None] * len(parts)
+    pending = iter(range(len(parts)))
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                index = next(pending, None)
+            if index is None:
+                return
+            results[index] = task(parts[index])
+
+    helpers = [_executor().submit(drain) for _ in range(min(_WIDTH, len(parts)) - 1)]
+    try:
+        drain()
+    finally:
+        wait(helpers)
+    for helper in helpers:
+        helper.result()
+    return results
 
 
 def pairwise_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -74,6 +199,7 @@ def _by_row_blocks(evaluate, xs, ys) -> np.ndarray:
     """The matrix evaluate(xs, ys), filled one row block of xs at a time.
 
     A matrix that fits in one block is evaluate's own result, with no copy.
+    The blocks are the tasks of _run_parts.
     """
     xs = _as_points(xs)
     ys = _as_points(ys)
@@ -81,8 +207,11 @@ def _by_row_blocks(evaluate, xs, ys) -> np.ndarray:
     if len(blocks) <= 1:
         return evaluate(xs, ys)
     out = np.empty((xs.shape[0], ys.shape[0]))
-    for rows in blocks:
+
+    def fill(rows):
         out[rows] = evaluate(xs[rows], ys)
+
+    _run_parts(fill, blocks, out.size)
     return out
 
 

@@ -255,10 +255,6 @@ def sample_grid_density(f, box: BoundingBox, n_per_axis: int) -> DiscreteMeasure
 # Measure file format: one atom per line, "weight,x1,...,xd"; '#' comments.
 # ---------------------------------------------------------------------------
 
-def _format_float(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def load_table(path) -> tuple[np.ndarray, np.ndarray]:
     """Read the raw (values, points) columns of a measure-format file.
 
@@ -308,13 +304,12 @@ def save_measure(path, m: DiscreteMeasure, header: str | None = None):
 
 
 def save_potential(path, points: np.ndarray, values: np.ndarray, header: str | None = None):
-    """Write a value column plus coordinates in the measure file format."""
-    pts = _as_points(points)
-    lines = []
-    if header:
-        for h in header.splitlines():
-            lines.append(f"# {h}")
-    for v, row in zip(values, pts):
-        cols = [_format_float(float(v))] + [_format_float(float(c)) for c in row]
-        lines.append(",".join(cols))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write a value column plus coordinates in the measure file format.
+
+    Every number is written as %.17g, which round-trips float64; the whole
+    table is formatted by one %-format, not one format call per number.
+    """
+    table = np.column_stack([np.asarray(values, dtype=float), _as_points(points)])
+    comments = "".join(f"# {h}\n" for h in header.splitlines()) if header else ""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    atomic_write_text(path, comments + (row * table.shape[0]) % tuple(table.ravel().tolist()))

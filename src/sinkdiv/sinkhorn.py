@@ -45,7 +45,12 @@ rounding.
 softmin, the half-step at arbitrary query points (extend_potentials and the
 witness), builds and reduces the cost one row block at a time
 (kernels._row_blocks), so it never holds a query x atoms matrix. A solve
-keeps its dense K.
+keeps its dense K, and runs G = exp(K - max K), the products and the
+log-sum-exps over K in row or column parts (kernels._pool_parts), one per
+thread. From kernels._PARALLEL_CELLS cells on, those parts and softmin's
+blocks run on the kernels thread pool; each part computes what the whole
+pass computes for its rows or columns, so the bits do not depend on the
+pool.
 
 A solve returns the potentials and the dual value. The solution keeps the
 cost matrix the solve built or was given, and builds the dense plan, its
@@ -63,7 +68,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteValueError
 from .exact_ot import TransportPlan
-from .kernels import Cost, _row_blocks
+from .kernels import Cost, _pool_parts, _row_blocks, _run_parts
 from .measures import BoundingBox, DiscreteMeasure, _as_points
 
 
@@ -236,7 +241,8 @@ def softmin(cost: Cost, m: DiscreteMeasure, phi: np.ndarray, epsilon: float, que
     The query points run in the cost's row blocks (kernels._row_blocks): each
     block of the cost is built and reduced at once, by a log-sum-exp or, at
     epsilon = inf, by block @ w, so memory beyond the result stays at one
-    block of about 2^16 cells however many query points there are. Blocks
+    block of about 2^16 cells however many query points there are, or one
+    per pool thread when the blocks run on the kernels thread pool. Blocks
     start on multiples of 8 rows, where gemv groups rows as it does over the
     whole matrix, so the result has the same bits as one unblocked pass on
     one BLAS thread.
@@ -261,8 +267,11 @@ def softmin(cost: Cost, m: DiscreteMeasure, phi: np.ndarray, epsilon: float, que
             return _log_sum_exp(k_block, g, epsilon, 1, k_block)
 
     out = np.empty(pts.shape[0])
-    for rows in _row_blocks(pts.shape[0], len(m)):
+
+    def fill(rows):
         out[rows] = reduce(cost.matrix(pts[rows], m.points))
+
+    _run_parts(fill, _row_blocks(pts.shape[0], len(m)), pts.shape[0] * len(m))
     return out
 
 
@@ -322,21 +331,53 @@ def _half_steps(k_matrix: np.ndarray, eps: float, log_w_mu: np.ndarray, log_w_nu
     within _GIBBS_MAX_SPAN, K becomes G = exp(K - max K) in place and a
     half-step is one gemv with no n x m temporary; beyond it (or on a NaN
     span), a log-sum-exp along either axis of K in one scratch buffer.
+
+    The passes that write or reduce along an axis of K run over
+    kernels._pool_parts: rows for exp(K - max K) and the reductions along
+    axis 1, columns for those along axis 0, so each output entry is one
+    whole reduction and no partial sums are added. K must be C-contiguous,
+    as _fixed_point builds it.
     """
+    n, m = k_matrix.shape
+    cells = n * m
+    rows, cols = _pool_parts(n, cells), _pool_parts(m, cells)
+
+    def by_parts(axis, reduce_part):
+        # the n (axis 1) or m (axis 0) results, reduce_part(index) giving
+        # those of the rows or columns that index selects from K; a single
+        # part (every matrix below kernels._PARALLEL_CELLS) is reduced whole
+        parts = rows if axis == 1 else cols
+        if len(parts) == 1:
+            return reduce_part(...)
+        out = np.empty(n if axis == 1 else m)
+
+        def task(part):
+            out[part] = reduce_part(part if axis == 1 else (slice(None), part))
+
+        _run_parts(task, parts, cells)
+        return out
+
     k_max = float(np.max(k_matrix))
     if k_max - float(np.min(k_matrix)) <= _GIBBS_MAX_SPAN:
-        gibbs = np.exp(np.subtract(k_matrix, k_max, out=k_matrix), out=k_matrix)
+        def to_gibbs(part):
+            block = np.subtract(k_matrix[part], k_max, out=k_matrix[part])
+            np.exp(block, out=block)
+
+        _run_parts(to_gibbs, rows, cells)
+        gibbs = k_matrix
 
         def reduce(g, axis):
             top = np.max(g)
             shifted = np.exp(g - top)
-            sums = gibbs @ shifted if axis == 1 else shifted @ gibbs
+            sums = by_parts(axis, lambda index: gibbs[index] @ shifted if axis == 1
+                            else shifted @ gibbs[index])
             return -eps * (k_max + top + np.log(sums))
     else:
         scratch = np.empty_like(k_matrix)
 
         def reduce(g, axis):
-            return _log_sum_exp(k_matrix, g, eps, axis, scratch)
+            return by_parts(axis, lambda index: _log_sum_exp(
+                k_matrix[index], g, eps, axis, scratch[index]))
 
     def t_nu(psi):
         return reduce(psi / eps + log_w_nu, axis=1)
@@ -385,7 +426,8 @@ def _fixed_point(c_matrix, mu, nu, cfg, start, kappa):
     _averaged, a cross problem _overrelaxed, whose safeguard reads kappa,
     the solution's contraction factor.
     """
-    t_nu, t_mu = _half_steps(c_matrix / -cfg.epsilon, cfg.epsilon,
+    # K is C-contiguous, as _half_steps needs, whatever the layout of a given C
+    t_nu, t_mu = _half_steps(np.divide(c_matrix, -cfg.epsilon, order="C"), cfg.epsilon,
                              _log_weights(mu.weights), _log_weights(nu.weights))
     if _is_self_problem(mu, nu):
         return _averaged(t_nu, t_mu, cfg, start)

@@ -494,6 +494,25 @@ def test_potentials_zero_discrepancy_exits_one_before_writing(tmp_path, toy_file
     for key in ("output_phi", "output_psi", "output_diff", "output_witness"):
         assert not (tmp_path / f"{key}.txt").exists()
 
+def test_potentials_out_of_memory_exits_one_without_traceback(tmp_path, toy_files, capsys,
+                                                              monkeypatch):
+    # a grid too large for memory fails in BoundingBox.grid; the stand-in
+    # raises as numpy does, without allocating anything
+    def grid(self, n_per_axis):
+        raise MemoryError(f"Unable to allocate an array with shape ({n_per_axis}, 1)")
+
+    monkeypatch.setattr(BoundingBox, "grid", grid)
+    mu, nu = toy_files
+    config = _base_config(tmp_path, "potentials", mu, nu)
+    argv = ["potentials", "--config", str(write_config(tmp_path, config)),
+            "--set", "grid_points_per_axis=200000"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    for key in ("output_phi", "output_psi", "output_diff", "output_witness"):
+        assert not (tmp_path / f"{key}.txt").exists()
+
 def test_potentials_dumps(tmp_path, toy_files):
     mu, nu = toy_files
     paths = {key: tmp_path / f"{key}.txt" for key in ("phi", "psi", "diff", "witness")}

@@ -354,6 +354,82 @@ def test_blocked_matrices_bitwise_equal_one_block(monkeypatch, unit_square, n, m
 
 
 # ---------------------------------------------------------------------------
+# thread pool
+# ---------------------------------------------------------------------------
+
+def _at_widths(monkeypatch, evaluate, widths=(1, 2, 3)):
+    """evaluate() with every matrix on the pool, once per pool width."""
+    monkeypatch.setattr(kernels, "_PARALLEL_CELLS", 1)
+    results = []
+    for width in widths:
+        monkeypatch.setattr(kernels, "_WIDTH", width)
+        results.append(evaluate())
+    return results
+
+
+def test_pooled_matrices_bitwise_equal_at_every_width(monkeypatch, unit_square):
+    # 203 x 701 is three row blocks, neither side a multiple of 8
+    rng = np.random.default_rng(41)
+    xs = rng.random((203, 2))
+    ys = rng.random((701, 2))
+    box = unit_square
+    evaluations = [
+        lambda: AbsDistance(box).matrix(xs, ys),
+        lambda: NegatedKernel(CpdShifted(NegativeDistance(box), anchor=[0.3, 0.8])).matrix(xs, ys),
+        lambda: Gaussian(box, c=0.7).gram(xs, ys),
+    ]
+    assert len(kernels._row_blocks(203, 701)) > 1
+    for evaluate in evaluations:
+        one, *pooled = _at_widths(monkeypatch, evaluate)
+        for matrix in pooled:
+            assert matrix.tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 203, 1501])
+@pytest.mark.parametrize("width", [1, 2, 3, 8])
+def test_pool_parts_cover_the_range_from_multiples_of_eight(monkeypatch, n, width):
+    monkeypatch.setattr(kernels, "_WIDTH", width)
+    small = kernels._pool_parts(n, kernels._PARALLEL_CELLS - 1)
+    assert small == [slice(0, n)]
+    parts = kernels._pool_parts(n, kernels._PARALLEL_CELLS)
+    assert [i for part in parts for i in range(n)[part]] == list(range(n))
+    assert all(part.start % 8 == 0 for part in parts)
+    assert len(parts) <= width
+
+
+@pytest.mark.parametrize("environ, cpus, width", [
+    ({}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 8, 4),
+    ({"OPENBLAS_NUM_THREADS": "4"}, 2, 1),
+    ({"OMP_NUM_THREADS": "1"}, 2, 2),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 8, 4),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 2),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "two"}, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "1.5", "OMP_NUM_THREADS": "-1"}, 2, 1),
+])
+def test_pool_width_is_cpus_per_blas_thread(environ, cpus, width):
+    assert kernels._pool_width(environ, cpus) == width
+
+
+def test_task_error_reaches_the_caller_with_its_type(monkeypatch):
+    monkeypatch.setattr(kernels, "_PARALLEL_CELLS", 1)
+    monkeypatch.setattr(kernels, "_WIDTH", 2)
+    done = []
+
+    def task(part):
+        if part.start == 8:
+            raise NotNegatedKernelError(f"part {part.start}")
+        done.append(part.start)
+
+    with pytest.raises(NotNegatedKernelError, match="part 8"):
+        kernels._run_parts(task, [slice(0, 8), slice(8, 16), slice(16, 24)], 24)
+    # the other parts ran to their end before the error was raised
+    assert sorted(done) == [0, 16]
+
+
+# ---------------------------------------------------------------------------
 # JSON construction
 # ---------------------------------------------------------------------------
 

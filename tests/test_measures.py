@@ -336,3 +336,15 @@ def test_potential_file_keeps_signs(tmp_path):
     values, loaded_pts = load_table(path)
     assert np.array_equal(values, np.array([-0.25, 0.75]))
     assert np.array_equal(loaded_pts, pts)
+
+def test_potential_file_bytes_match_per_value_format(tmp_path):
+    # one %-format for the whole table writes what one f"{x:.17g}" per number did
+    special = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1.0 / 3.0]
+    values = np.array(special + [-2.5])
+    pts = np.array([special, special[::-1], [0.5] * 5, [-1.0] * 5, special[1:] + [0.0],
+                    [1e-300, -1e300, 0.0, 1.0, 2.0]])
+    path = tmp_path / "potential.txt"
+    save_potential(path, pts, values, header="first\nsecond")
+    rows = [",".join(f"{x:.17g}" for x in (v, *row)) for v, row in zip(values, pts)]
+    expected = "# first\n# second\n" + "\n".join(rows) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")

@@ -1,5 +1,7 @@
 """Solver: softmin, Gibbs and log-domain half-steps, fixed point, limits, contraction, diagnostics."""
 import math
+import multiprocessing
+import threading
 import tracemalloc
 import warnings
 
@@ -748,6 +750,22 @@ def test_solve_on_given_cost_matrix_bitwise_equal(unit_square, eps):
             assert given.cost_matrix is c_matrix
 
 
+def test_solve_on_fortran_ordered_cost_matrix_bitwise_equal(unit_square):
+    # K is built C-ordered whatever the given layout, so the products run
+    # the same BLAS kernels as on the matrix the solve builds itself
+    rng = np.random.default_rng(52)
+    cost = AbsDistance(unit_square)
+    mu = random_measure(rng, 301, unit_square)
+    nu = random_measure(rng, 203, unit_square)
+    cfg = SinkhornConfig(epsilon=0.1)
+    built = solve(cost, mu, nu, cfg)
+    given = solve(cost, mu, nu, cfg,
+                  cost_matrix=np.asfortranarray(cost.matrix(mu.points, nu.points)))
+    assert given.value == built.value
+    assert given.potentials.phi.tobytes() == built.potentials.phi.tobytes()
+    assert given.potentials.psi.tobytes() == built.potentials.psi.tobytes()
+
+
 def _with_entry(c_matrix, value):
     bad = c_matrix.copy()
     bad[0, 1] = value
@@ -992,3 +1010,99 @@ def test_softmin_and_contraction_estimate_reject_non_positive_and_nan(unit_box, 
 def test_config_rejects_non_positive_and_nan(field, value):
     with pytest.raises(ValueError, match=field):
         SinkhornConfig(**{"epsilon": 1.0, field: value})
+
+
+# ---------------------------------------------------------------------------
+# thread pool
+# ---------------------------------------------------------------------------
+
+def _on_pool(monkeypatch, width):
+    # every matrix reaches the pool, whatever its size
+    monkeypatch.setattr(kernels, "_PARALLEL_CELLS", 1)
+    monkeypatch.setattr(kernels, "_WIDTH", width)
+
+
+@pytest.mark.parametrize("eps", [0.1, math.inf])
+def test_pooled_softmin_bitwise_equal_at_every_width(monkeypatch, unit_square, eps):
+    # 64 cells per block: 203 query rows against 37 atoms are 26 blocks
+    rng = np.random.default_rng(45)
+    m = random_measure(rng, 37, unit_square)
+    phi = rng.normal(size=37)
+    xs = rng.random((203, 2))
+    monkeypatch.setattr(kernels, "_BLOCK_CELLS", 64)
+    for cost in [AbsDistance(unit_square), NegatedKernel(Gaussian(unit_square, c=0.7))]:
+        results = []
+        for width in (1, 2, 3):
+            _on_pool(monkeypatch, width)
+            results.append(softmin(cost, m, phi, eps, xs).tobytes())
+        assert results[1] == results[0] and results[2] == results[0]
+
+
+# eps = 0.1 runs the Gibbs products, 1e-3 the log-domain reductions (K spans
+# about 1400), inf the closed-form step
+@pytest.mark.parametrize("eps, max_iter", [(0.1, 10_000), (1e-3, 40), (math.inf, 1)])
+def test_pooled_solve_bitwise_equal_at_every_width(monkeypatch, unit_square, eps, max_iter):
+    rng = np.random.default_rng(46)
+    mu = random_measure(rng, 203, unit_square)
+    nu = random_measure(rng, 157, unit_square)
+    cost = AbsDistance(unit_square)
+    cfg = SinkhornConfig(epsilon=eps, max_iter=max_iter)
+    for a, b in [(mu, nu), (mu, mu)]:
+        results = []
+        for width in (1, 2, 3):
+            _on_pool(monkeypatch, width)
+            sol = solve(cost, a, b, cfg)
+            results.append((sol.potentials.phi.tobytes(), sol.potentials.psi.tobytes(),
+                            sol.value, sol.iterations, sol.residual_history.tobytes()))
+        assert results[1] == results[0] and results[2] == results[0]
+
+
+def test_matrices_below_parallel_cells_start_no_thread(monkeypatch, unit_square):
+    # dither's sizes: the 900 x 900 target self term, 900 x 50 and 50 x 50
+    # solves, and a 64^2 grid against 50 atoms
+    monkeypatch.setattr(kernels, "_WIDTH", 2)
+    monkeypatch.setattr(kernels, "_pool", None)
+    rng = np.random.default_rng(47)
+    target = random_measure(rng, 900, unit_square)
+    atoms = random_measure(rng, 50, unit_square)
+    cost = AbsDistance(unit_square)
+    cfg = SinkhornConfig(epsilon=0.15)
+    assert 900 * 900 < kernels._PARALLEL_CELLS
+    before = threading.active_count()
+    for a, b in [(target, target), (target, atoms), (atoms, atoms)]:
+        solve(cost, a, b, cfg)
+    softmin(cost, atoms, np.zeros(50), 0.15, unit_square.grid(64))
+    assert threading.active_count() == before
+    assert kernels._pool is None
+
+
+def test_forked_child_runs_pooled_softmin(monkeypatch, unit_square):
+    # the child inherits the parent's executor object but none of its
+    # threads; it must start its own pool instead of waiting on those
+    _on_pool(monkeypatch, 2)
+    monkeypatch.setattr(kernels, "_BLOCK_CELLS", 64)
+    rng = np.random.default_rng(48)
+    m = random_measure(rng, 37, unit_square)
+    phi = rng.normal(size=37)
+    xs = rng.random((203, 2))
+    cost = AbsDistance(unit_square)
+    expected = softmin(cost, m, phi, 0.1, xs).tobytes()
+    assert kernels._pool is not None
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+
+    def child():
+        sender.send_bytes(softmin(cost, m, phi, 0.1, xs).tobytes())
+
+    process = context.Process(target=child)
+    process.start()
+    try:
+        assert receiver.poll(60), "the forked child did not answer within 60 s"
+        assert receiver.recv_bytes() == expected
+        process.join(timeout=60)
+        assert not process.is_alive()
+        assert process.exitcode == 0
+    finally:
+        if process.is_alive():
+            process.kill()
+            process.join()
