@@ -9,13 +9,13 @@ squared discrepancy.
 
 The gradient sum_i P_ij grad_y c(x_i, y_j) is one plan-weighted contraction
 per plan (Cost.plan_grad_y), with no (n, m, d) gradient array. An energy
-evaluation builds the target-to-positions and positions-to-positions cost
-matrices, solves on them, and keeps the two solutions with the two matrices.
-Only the accepted iterates, whose gradient is taken, build their dense plans,
-and the contraction reads h'(r)/r from the kept matrices wherever the
-profile gives it in closed form (1/C for the smoothed distance cost that
-replaces kinked costs, -2h/c^2 for a Gaussian), so an accepted iterate
-computes no distances. Other costs take h'(r)/r from the distances.
+evaluation solves the target-to-positions and positions-to-positions
+problems and keeps the two solutions, each with the cost matrix it solved
+on. Only the accepted iterates, whose gradient is taken, build their dense
+plans, and the contraction reads h'(r)/r from each solution's matrix
+wherever the profile gives it in closed form (1/C for the smoothed distance
+cost that replaces kinked costs, -2h/c^2 for a Gaussian), so an accepted
+iterate computes no distances. Other costs take h'(r)/r from the distances.
 
 The public entry points check their inputs once per call: the target
 against the cost's box, and given positions for shape (M, d), finiteness
@@ -40,7 +40,7 @@ from .kernels import (
 )
 from .errors import DimensionMismatchError
 from .measures import DiscreteMeasure, uniform, validate
-from .sinkhorn import SinkhornConfig, SinkhornSolution, solve
+from .sinkhorn import SinkhornConfig, SinkhornSolution, _check_integer, solve
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,8 @@ class DitherConfig:
     smoothing: float = 1e-2
 
     def __post_init__(self):
+        for name in ("M", "max_outer_iter", "inner_max_iter", "seed"):
+            _check_integer(getattr(self, name), name)
         if self.M < 1:
             raise ValueError("M must be >= 1")
         # written so that NaN fails too
@@ -167,26 +169,21 @@ def gradient(cfg: DitherConfig, target: DiscreteMeasure, positions) -> np.ndarra
     validate(target, cfg.cost.box)
     positions = _checked_positions(cfg, positions)
     run = _Run(cfg, target)
-    return _envelope_gradient(run.cost, target, positions, *run.energy_and_solutions(positions)[1])
+    return _envelope_gradient(run.cost, *run.energy_and_solutions(positions)[1])
 
 
-def _envelope_gradient(
-    cost: Cost,
-    target: DiscreteMeasure,
-    positions: np.ndarray,
-    cross: SinkhornSolution,
-    self_p: SinkhornSolution,
-    c_cross: np.ndarray,
-    c_self: np.ndarray,
-) -> np.ndarray:
+def _envelope_gradient(cost: Cost, cross: SinkhornSolution, self_p: SinkhornSolution) -> np.ndarray:
     # Dual values differentiated only through the cost entries, potentials
     # held fixed at their converged values. The half on the self term cancels
     # because each position appears in both marginals of the self plan, which
     # is symmetric to the stopping tolerance (psi = T(phi) ends the solve).
-    # The cost matrices the two solves ran on give h'(r)/r wherever the
-    # profile has it in closed form; other costs recompute the distances.
-    return (cost.plan_grad_y(target.points, positions, cross.plan.matrix, c_cross)
-            - cost.plan_grad_y(positions, positions, self_p.plan.matrix, c_self))
+    # Each plan is contracted on its own solution's points and cost matrix,
+    # which give h'(r)/r wherever the profile has it in closed form; other
+    # costs recompute the distances.
+    def contraction(sol):
+        return cost.plan_grad_y(sol.mu.points, sol.nu.points, sol.plan.matrix, sol.cost_matrix)
+
+    return contraction(cross) - contraction(self_p)
 
 
 class _Run:
@@ -208,28 +205,25 @@ class _Run:
         self.psi_cross = None
         self.phi_self = None
 
-    def _solve(self, mu, nu, psi0, cost_matrix=None):
-        solution = solve(self.cost, mu, nu, self.inner, psi0=psi0, cost_matrix=cost_matrix)
+    def _solve(self, mu, nu, psi0):
+        solution = solve(self.cost, mu, nu, self.inner, psi0=psi0)
         self.unconverged += not solution.converged
         return solution
 
     def energy_and_solutions(self, positions: np.ndarray):
-        """Energy at the positions and (cross, self, c_cross, c_self); warm-starts the next call.
+        """Energy at the positions and (cross, self); warm-starts the next call.
 
-        c_cross and c_self are the cost matrices the two solves ran on, kept
-        for the gradient. The solutions build their plans only when the
-        gradient reads them.
+        Each solution keeps the cost matrix it solved on, for the gradient,
+        and builds its plan only when the gradient reads it.
         """
         self.evaluations += 1
         nu_p = uniform(positions)
-        c_cross = self.cost.matrix(self.target.points, nu_p.points)
-        c_self = self.cost.matrix(nu_p.points, nu_p.points)
-        cross = self._solve(self.target, nu_p, self.psi_cross, c_cross)
-        self_p = self._solve(nu_p, nu_p, self.phi_self, c_self)
+        cross = self._solve(self.target, nu_p, self.psi_cross)
+        self_p = self._solve(nu_p, nu_p, self.phi_self)
         self.psi_cross = cross.potentials.psi
         self.phi_self = self_p.potentials.phi
         value = cross.value + self.target_term - 0.5 * self_p.value
-        return value, (cross, self_p, c_cross, c_self)
+        return value, (cross, self_p)
 
 
 def dither(cfg: DitherConfig, target: DiscreteMeasure) -> DitherState:
@@ -247,7 +241,7 @@ def dither(cfg: DitherConfig, target: DiscreteMeasure) -> DitherState:
 
     run = _Run(cfg, target)
     energy, solutions = run.energy_and_solutions(positions)
-    grad = _envelope_gradient(run.cost, target, positions, *solutions)
+    grad = _envelope_gradient(run.cost, *solutions)
     grad_norm = float(np.max(np.abs(grad)))
     trace = [{"iter": 0, "energy": energy, "grad_norm": grad_norm, "step": 0.0}]
     converged = grad_norm <= cfg.grad_tol
@@ -280,7 +274,7 @@ def dither(cfg: DitherConfig, target: DiscreteMeasure) -> DitherState:
             break
         last_step = step
         positions, energy = candidate, cand_energy
-        grad = _envelope_gradient(run.cost, target, positions, *cand_solutions)
+        grad = _envelope_gradient(run.cost, *cand_solutions)
         grad_norm = float(np.max(np.abs(grad)))
         trace.append({"iter": it, "energy": energy, "grad_norm": grad_norm, "step": step})
         converged = grad_norm <= cfg.grad_tol

@@ -5,6 +5,9 @@ Debiased regularized transport S_eps = OT_eps(mu, nu) - OT_eps(mu, mu)/2
 discrepancy at infinite regularization, the witness function recovered from
 the limit potentials, and the regularization sweep harness that produces
 plot-ready records.
+
+Each term keeps its value and converged flag, not its solution, so a
+divergence holds one solve's cost matrix at a time.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from .errors import NotNegatedKernelError, ZeroDiscrepancyError
 from .fileio import atomic_write_text
 from .kernels import Cost, CpdShifted, Kernel, NegatedKernel
 from .measures import DiscreteMeasure
-from .sinkhorn import SinkhornConfig, SinkhornSolution, extend_potentials, ot_infinity, solve
+from .sinkhorn import SinkhornConfig, extend_potentials, ot_infinity, solve
 
 # Default sweep grid: 25 log-spaced values over the active range, plus the
 # infinite-regularization terminal record appended by epsilon_sweep.
@@ -62,7 +65,7 @@ def sinkhorn_divergence(
     All three use the same regularization and tolerance; non-convergence of a
     term is reported in term_converged rather than raised.
     """
-    return _divergence_from_cross(cost, mu, nu, cfg, solve(cost, mu, nu, cfg))
+    return _divergence_from_cross(cost, mu, nu, cfg, _term(cost, mu, nu, cfg))
 
 
 def s_infinity(cost: Cost, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -138,36 +141,36 @@ def epsilon_sweep(
     for eps in [*eps_values, math.inf]:
         cfg_eps = replace(template, epsilon=float(eps))
         cross = solve(cost, mu, nu, cfg_eps)
-        div = _divergence_from_cross(cost, mu, nu, cfg_eps, cross)
-        records.append(
-            SweepRecord(
-                epsilon=float(eps),
-                ot_eps=cross.value,
-                s_eps=div.s_eps,
-                phi_dist_to_inf=float(np.max(np.abs(cross.potentials.phi - limits.phi_inf))),
-                psi_dist_to_inf=float(np.max(np.abs(cross.potentials.psi - limits.psi_inf))),
-                iterations=cross.iterations,
-                converged=div.converged,
-            )
-        )
+        fields = dict(epsilon=float(eps), iterations=cross.iterations,
+                      phi_dist_to_inf=float(np.max(np.abs(cross.potentials.phi - limits.phi_inf))),
+                      psi_dist_to_inf=float(np.max(np.abs(cross.potentials.psi - limits.psi_inf))))
+        cross_term = cross.value, cross.converged
+        # the cross solution and its cost matrix go before the self solves
+        del cross
+        div = _divergence_from_cross(cost, mu, nu, cfg_eps, cross_term)
+        records.append(SweepRecord(**fields, ot_eps=div.ot_mu_nu, s_eps=div.s_eps,
+                                   converged=div.converged))
     return records
 
 
-def _divergence_from_cross(cost, mu, nu, cfg, cross: SinkhornSolution) -> DivergenceResult:
-    """Assemble S_eps from a solved cross term plus the two self-term solves."""
-    self_mu = solve(cost, mu, mu, cfg)
-    self_nu = solve(cost, nu, nu, cfg)
+def _term(cost, mu, nu, cfg) -> tuple[float, bool]:
+    """(value, converged) of one solve; the solution goes when this returns."""
+    solution = solve(cost, mu, nu, cfg)
+    return solution.value, solution.converged
+
+
+def _divergence_from_cross(cost, mu, nu, cfg, cross: tuple[float, bool]) -> DivergenceResult:
+    """Assemble S_eps from the cross term's (value, converged) and the two self terms."""
+    ot_mu_nu, mu_nu = cross
+    ot_mu_mu, mu_mu = _term(cost, mu, mu, cfg)
+    ot_nu_nu, nu_nu = _term(cost, nu, nu, cfg)
     return DivergenceResult(
-        s_eps=cross.value - 0.5 * self_mu.value - 0.5 * self_nu.value,
-        ot_mu_nu=cross.value,
-        ot_mu_mu=self_mu.value,
-        ot_nu_nu=self_nu.value,
+        s_eps=ot_mu_nu - 0.5 * ot_mu_mu - 0.5 * ot_nu_nu,
+        ot_mu_nu=ot_mu_nu,
+        ot_mu_mu=ot_mu_mu,
+        ot_nu_nu=ot_nu_nu,
         epsilon=cfg.epsilon,
-        term_converged={
-            "mu_nu": cross.converged,
-            "mu_mu": self_mu.converged,
-            "nu_nu": self_nu.converged,
-        },
+        term_converged={"mu_nu": mu_nu, "mu_mu": mu_mu, "nu_nu": nu_nu},
     )
 
 

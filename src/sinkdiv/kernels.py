@@ -120,34 +120,35 @@ def _pool_parts(length: int, cells: int) -> list[slice]:
     return [slice(start, min(start + size, length)) for start in range(0, length, size)]
 
 
-def _run_parts(task, parts: list, cells: int) -> list:
-    """[task(part) for part in parts], shared with the pool when that pays.
+def _run_parts(task, parts: list, cells: int) -> None:
+    """task(part) for every part, shared with the pool when that pays.
 
     The parts run on the calling thread alone when there is one part, the
     pool width is 1 or the matrix has fewer than _PARALLEL_CELLS cells.
     Otherwise the calling thread and up to _WIDTH - 1 pool threads take the
     next part in turn until none is left, so a pool thread that starts late
     leaves its parts to the calling thread instead of holding the pass up.
-    A task must not reach the pool itself; the tasks here evaluate
-    at most one block, which is one part. Every task ends before this
-    returns, and a failing task's exception is raised as it was. Pool
-    threads start with numpy's default errstate, so a task that needs
-    another sets it itself.
+    A task writes its part of the result into an output of its own, and
+    must not reach the pool itself; the tasks here evaluate at most one
+    block, which is one part. Every task ends before this returns, and a
+    failing task's exception is raised as it was. Pool threads start with
+    numpy's default errstate, so a task that needs another sets it itself.
     """
     if len(parts) == 1 or _WIDTH == 1 or cells < _PARALLEL_CELLS:
-        return [task(part) for part in parts]
+        for part in parts:
+            task(part)
+        return
     from concurrent.futures import wait
-    results = [None] * len(parts)
-    pending = iter(range(len(parts)))
+    pending = iter(parts)
     lock = threading.Lock()
 
     def drain():
         while True:
             with lock:
-                index = next(pending, None)
-            if index is None:
+                part = next(pending, None)
+            if part is None:
                 return
-            results[index] = task(parts[index])
+            task(part)
 
     helpers = [_executor().submit(drain) for _ in range(min(_WIDTH, len(parts)) - 1)]
     try:
@@ -156,7 +157,6 @@ def _run_parts(task, parts: list, cells: int) -> list:
         wait(helpers)
     for helper in helpers:
         helper.result()
-    return results
 
 
 def pairwise_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -53,7 +53,7 @@ pass computes for its rows or columns, so the bits do not depend on the
 pool.
 
 A solve returns the potentials and the dual value. The solution keeps the
-cost matrix the solve built or was given, and builds the dense plan, its
+cost matrix the solve built, at every epsilon, and builds the dense plan, its
 primal value and the duality gap together on first access, so callers that
 need only the value (the self terms of a divergence, rejected line-search
 candidates) never build an n x m plan.
@@ -70,6 +70,12 @@ from .errors import DimensionMismatchError, NonFiniteValueError
 from .exact_ot import TransportPlan
 from .kernels import Cost, _pool_parts, _row_blocks, _run_parts
 from .measures import BoundingBox, DiscreteMeasure, _as_points
+
+
+def _check_integer(value, name: str):
+    """ValueError naming the field unless value is an int or numpy integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,7 @@ class SinkhornConfig:
             raise ValueError("epsilon must be positive")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
+        _check_integer(self.max_iter, "max_iter")
         # zero iterations would return the unsolved starting potentials
         if not self.max_iter >= 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
@@ -133,8 +140,8 @@ class SinkhornSolution:
     """Potentials, dual value and convergence record of one solve.
 
     `plan` and `duality_gap` are built on first access, together, from the
-    potentials and the cost matrix the solve kept (cost_matrix; None at
-    epsilon = inf, where the plan is the independent coupling and the gap 0).
+    potentials and cost_matrix, the cost matrix the solve built and ran on
+    (at epsilon = inf the plan is the independent coupling and the gap 0).
     omega is the relaxation factor the solve ended with: 1 for a self
     problem, at epsilon = inf and for a cross solve that never relaxed. It
     is not among the diagnostics.
@@ -148,7 +155,7 @@ class SinkhornSolution:
     kappa: float
     mu: DiscreteMeasure = field(repr=False)
     nu: DiscreteMeasure = field(repr=False)
-    cost_matrix: np.ndarray | None = field(repr=False)
+    cost_matrix: np.ndarray = field(repr=False)
     residual_history: np.ndarray = field(repr=False)
     omega: float
 
@@ -156,9 +163,9 @@ class SinkhornSolution:
     def _extraction(self) -> tuple[TransportPlan, float]:
         """The plan and the gap between its primal value and the dual value."""
         w_mu, w_nu = self.mu.weights, self.nu.weights
-        if self.cost_matrix is None:
-            return TransportPlan(matrix=np.outer(w_mu, w_nu), mu=self.mu, nu=self.nu), 0.0
         c_matrix, eps = self.cost_matrix, self.potentials.epsilon
+        if math.isinf(eps):
+            return TransportPlan(matrix=np.outer(w_mu, w_nu), mu=self.mu, nu=self.nu), 0.0
         exponent = (self.potentials.phi[:, None] + self.potentials.psi[None, :] - c_matrix) / eps
         with np.errstate(over="ignore"):
             plan_matrix = np.exp(exponent)
@@ -426,7 +433,7 @@ def _fixed_point(c_matrix, mu, nu, cfg, start, kappa):
     _averaged, a cross problem _overrelaxed, whose safeguard reads kappa,
     the solution's contraction factor.
     """
-    # K is C-contiguous, as _half_steps needs, whatever the layout of a given C
+    # K is C-contiguous, as _half_steps needs, whatever the layout of C
     t_nu, t_mu = _half_steps(np.divide(c_matrix, -cfg.epsilon, order="C"), cfg.epsilon,
                              _log_weights(mu.weights), _log_weights(nu.weights))
     if _is_self_problem(mu, nu):
@@ -550,23 +557,12 @@ def _finite_vector(values, size: int, name: str) -> np.ndarray:
     return vector
 
 
-def _finite_matrix(values, shape: tuple[int, int]) -> np.ndarray:
-    """values as a float matrix, checked to be finite and of the given shape; no copy."""
-    matrix = np.asarray(values, dtype=float)
-    if matrix.shape != shape:
-        raise DimensionMismatchError(f"cost_matrix must have shape {shape}, got {matrix.shape}")
-    if not np.all(np.isfinite(matrix)):
-        raise NonFiniteValueError("non-finite entry in cost_matrix")
-    return matrix
-
-
 def solve(
     cost: Cost,
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
     cfg: SinkhornConfig,
     psi0: np.ndarray | None = None,
-    cost_matrix: np.ndarray | None = None,
 ) -> SinkhornSolution:
     """Run the Sinkhorn fixed-point iteration to the oscillation-norm tolerance.
 
@@ -598,20 +594,13 @@ def solve(
     psi0 has no effect there; at any epsilon, one that is not a finite vector
     of length len(nu) raises.
 
-    cost_matrix, if given, is cost.matrix(mu.points, nu.points) built by the
-    caller, who may read it again (dither's gradient takes h'(r)/r from it);
-    the solve then builds none and returns the same result, bit for bit. It
-    is checked for shape (len(mu), len(nu)) and finite entries, never
-    written, and kept by the solution as given at finite epsilon.
-
-    The plan and the duality gap are built only when read (SinkhornSolution).
+    The solution keeps the cost matrix cost.matrix(mu.points, nu.points) the
+    solve built, at every epsilon, and builds the plan and the duality gap
+    only when read (SinkhornSolution).
     """
     start = np.zeros(len(nu)) if psi0 is None else _finite_vector(psi0, len(nu), "psi0")
     eps = cfg.epsilon
-    if cost_matrix is None:
-        c_matrix = cost.matrix(mu.points, nu.points)
-    else:
-        c_matrix = _finite_matrix(cost_matrix, (len(mu), len(nu)))
+    c_matrix = cost.matrix(mu.points, nu.points)
     w_mu, w_nu = mu.weights, nu.weights
     row_avg = c_matrix @ w_nu
     # half the independent-coupling cost, the normalization <phi, mu>
@@ -638,8 +627,7 @@ def solve(
         kappa=kappa,
         mu=mu,
         nu=nu,
-        # the independent coupling at epsilon = inf needs no cost matrix
-        cost_matrix=None if math.isinf(eps) else c_matrix,
+        cost_matrix=c_matrix,
         residual_history=np.array(residuals),
         omega=omega,
     )

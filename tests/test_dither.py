@@ -93,13 +93,23 @@ def test_step_and_gradient_tolerance_outside_range_rejected(square, key, value):
     # zero inner iterations score unsolved potentials (a negative S_eps)
     ("inner_max_iter", 0), ("inner_max_iter", -3),
     ("max_outer_iter", -1),
+    # range() and numpy's generators take no float or bool, and a budget of
+    # 1.5 would run 2 outer steps
+    ("M", 2.5), ("M", True), ("max_outer_iter", 1.5), ("max_outer_iter", 3.0),
+    ("inner_max_iter", 2.5), ("inner_max_iter", False), ("seed", 1.5), ("seed", True),
     # the smoothed kernel's width: SmoothedNegativeDistance raises on c <= 0
     # and NaN reaches the solver as non-finite coordinates
     ("smoothing", 0.0), ("smoothing", -1.0), ("smoothing", math.nan), ("smoothing", math.inf),
 ])
 def test_iteration_budgets_and_smoothing_outside_range_rejected(square, key, value):
     with pytest.raises(ValueError, match=key):
-        DitherConfig(M=2, epsilon=1.0, cost=AbsDistance(square), **{key: value})
+        DitherConfig(**{"M": 2, key: value}, epsilon=1.0, cost=AbsDistance(square))
+
+def test_integer_fields_take_numpy_integers(square):
+    cfg = DitherConfig(M=np.int64(2), epsilon=1.0, cost=AbsDistance(square), seed=np.uint32(3),
+                       max_outer_iter=np.int32(4), inner_max_iter=np.int64(5))
+    assert (cfg.M, cfg.seed, cfg.max_outer_iter, cfg.inner_max_iter) == (2, 3, 4, 5)
+    assert SinkhornConfig(epsilon=1.0, max_iter=np.int64(7)).max_iter == 7
 
 def test_negative_seed_rejected(square):
     # numpy's generators take only non-negative seeds

@@ -167,10 +167,12 @@ def test_size_cap(unit_box):
         exact_ot(AbsDistance(unit_box), big, other)
 
 def test_scipy_loaded_only_by_the_exact_solve():
-    # a fresh interpreter, so modules other tests imported do not count
+    # a fresh interpreter, so modules other tests imported do not count;
+    # the kernels thread pool loads concurrent.futures on first use only
     src = os.path.dirname(os.path.dirname(sinkdiv.__file__))
     code = ("import sys, sinkdiv, sinkdiv.cli\n"
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse', 'concurrent.futures')"
+            " if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"

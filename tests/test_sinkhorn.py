@@ -19,6 +19,7 @@ from sinkdiv import (
     SinkhornConfig,
     contraction_estimate,
     dirac,
+    epsilon_sweep,
     exact_ot,
     ot_infinity,
     potential_lipschitz_check,
@@ -344,6 +345,34 @@ def test_divergence_peak_memory_within_one_solve_and_one_plan(unit_square):
     finally:
         tracemalloc.stop()
     assert peak <= (4 + 1) * array_bytes + slack
+
+
+def test_divergence_and_sweep_hold_one_solve_at_a_time(unit_square):
+    # each term is read into its value as its solve returns, so no finished
+    # term's cost matrix sits beside the next solve: the peak is one solve's
+    # cost and G at eps = 0.1, its cost, K and log-domain scratch at 1e-3
+    rng = np.random.default_rng(34)
+    n = 600
+    mu = random_measure(rng, n, unit_square)
+    nu = random_measure(rng, n, unit_square)
+    cost = AbsDistance(unit_square)
+    array_bytes = n * n * 8
+    slack = array_bytes // 8
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for eps, arrays in [(0.1, 2), (1e-3, 3)]:
+        cfg = SinkhornConfig(epsilon=eps, max_iter=5)
+        assert peak(lambda: sinkhorn_divergence(cost, mu, nu, cfg)) <= arrays * array_bytes + slack
+    template = SinkhornConfig(epsilon=1.0, max_iter=5)
+    assert peak(lambda: epsilon_sweep(cost, mu, nu, epsilons=[1e-3, 0.1], cfg=template)
+                ) <= 3 * array_bytes + slack
 
 
 @pytest.mark.parametrize("eps", [1e-3, 0.1, 10.0])
@@ -725,75 +754,23 @@ _BAD_STARTS = [
 ]
 
 
-@pytest.mark.parametrize("eps", [0.1, math.inf])
-def test_solve_on_given_cost_matrix_bitwise_equal(unit_square, eps):
-    # a prebuilt matrix is an input, not a switch: cross and self problems
-    # return the same bits, and the solution keeps the given array
-    rng = np.random.default_rng(51)
-    cost = AbsDistance(unit_square)
-    mu = random_measure(rng, 9, unit_square)
-    nu = random_measure(rng, 6, unit_square)
-    cfg = SinkhornConfig(epsilon=eps)
-    for a, b in [(mu, nu), (nu, nu)]:
-        c_matrix = cost.matrix(a.points, b.points)
-        built = solve(cost, a, b, cfg, psi0=np.full(len(b), 0.25))
-        given = solve(cost, a, b, cfg, psi0=np.full(len(b), 0.25), cost_matrix=c_matrix)
-        assert given.value == built.value
-        assert given.iterations == built.iterations
-        assert np.array_equal(given.potentials.phi, built.potentials.phi)
-        assert np.array_equal(given.potentials.psi, built.potentials.psi)
-        assert np.array_equal(given.plan.matrix, built.plan.matrix)
-        assert given.duality_gap == built.duality_gap
-        if math.isinf(eps):
-            assert given.cost_matrix is None
-        else:
-            assert given.cost_matrix is c_matrix
-
-
 def test_solve_on_fortran_ordered_cost_matrix_bitwise_equal(unit_square):
-    # K is built C-ordered whatever the given layout, so the products run
-    # the same BLAS kernels as on the matrix the solve builds itself
+    # _fixed_point builds K C-ordered whatever the layout of C, so the
+    # products run the same BLAS kernels on either layout
     rng = np.random.default_rng(52)
     cost = AbsDistance(unit_square)
     mu = random_measure(rng, 301, unit_square)
     nu = random_measure(rng, 203, unit_square)
     cfg = SinkhornConfig(epsilon=0.1)
-    built = solve(cost, mu, nu, cfg)
-    given = solve(cost, mu, nu, cfg,
-                  cost_matrix=np.asfortranarray(cost.matrix(mu.points, nu.points)))
-    assert given.value == built.value
-    assert given.potentials.phi.tobytes() == built.potentials.phi.tobytes()
-    assert given.potentials.psi.tobytes() == built.potentials.psi.tobytes()
-
-
-def _with_entry(c_matrix, value):
-    bad = c_matrix.copy()
-    bad[0, 1] = value
-    return bad
-
-
-_BAD_COST_MATRICES = {
-    "column_short": (lambda c: c[:, :-1], DimensionMismatchError),
-    "row_short": (lambda c: c[:-1], DimensionMismatchError),
-    "flat": (lambda c: c.ravel(), DimensionMismatchError),
-    "three_axes": (lambda c: c[:, :, None], DimensionMismatchError),
-    "nan": (lambda c: _with_entry(c, np.nan), NonFiniteValueError),
-    "minus_inf": (lambda c: _with_entry(c, -np.inf), NonFiniteValueError),
-}
-
-
-@pytest.mark.parametrize("eps", [0.1, math.inf])
-@pytest.mark.parametrize("case", sorted(_BAD_COST_MATRICES))
-def test_solve_rejects_bad_cost_matrix(unit_square, eps, case):
-    bad, error = _BAD_COST_MATRICES[case]
-    rng = np.random.default_rng(52)
-    cost = AbsDistance(unit_square)
-    mu = random_measure(rng, 5, unit_square)
-    nu = random_measure(rng, 4, unit_square)
-    for a, b in [(mu, nu), (nu, nu)]:
-        with pytest.raises(error, match="cost_matrix"):
-            solve(cost, a, b, SinkhornConfig(epsilon=eps),
-                  cost_matrix=bad(cost.matrix(a.points, b.points)))
+    kappa = contraction_estimate(cost, unit_square, cfg.epsilon).kappa
+    c_matrix = cost.matrix(mu.points, nu.points)
+    start = np.zeros(len(nu))
+    c_order = _fixed_point(c_matrix, mu, nu, cfg, start, kappa)
+    f_order = _fixed_point(np.asfortranarray(c_matrix), mu, nu, cfg, start, kappa)
+    # phi, psi, iterations, residuals, converged, omega
+    assert f_order[0].tobytes() == c_order[0].tobytes()
+    assert f_order[1].tobytes() == c_order[1].tobytes()
+    assert f_order[2:] == c_order[2:]
 
 
 @pytest.mark.parametrize("eps", [0.1, math.inf])
@@ -871,8 +848,9 @@ def test_ot_infinity_is_the_marginal_average_formula(unit_square, cost_index):
             assert np.max(np.abs(limits.phi_inf - (c_matrix @ b.weights - 0.5 * ot))) <= 1e-14
             assert np.max(np.abs(limits.psi_inf - (c_matrix.T @ a.weights - 0.5 * ot))) <= 1e-14
 
-def test_solve_at_infinity_keeps_no_cost_matrix_and_zero_kappa(unit_square):
-    # kappa is 0 even where L / eps is inf / inf (PowerDistance with p < 1)
+def test_solve_at_infinity_keeps_its_cost_matrix_and_zero_kappa(unit_square):
+    # kappa is 0 even where L / eps is inf / inf (PowerDistance with p < 1);
+    # the solution keeps the matrix it solved on, as at every epsilon
     rng = np.random.default_rng(44)
     mu = random_measure(rng, 6, unit_square)
     nu = random_measure(rng, 7, unit_square)
@@ -880,7 +858,7 @@ def test_solve_at_infinity_keeps_no_cost_matrix_and_zero_kappa(unit_square):
         for a, b in [(mu, nu), (mu, mu)]:
             sol = solve(cost, a, b, SinkhornConfig(epsilon=math.inf))
             assert sol.kappa == 0.0
-            assert sol.cost_matrix is None
+            assert np.array_equal(sol.cost_matrix, cost.matrix(a.points, b.points))
             assert np.array_equal(sol.plan.matrix, np.outer(a.weights, b.weights))
 
 def test_divergence_at_infinity_peak_memory_within_two_cost_sized_arrays(unit_square):
@@ -1005,8 +983,11 @@ def test_softmin_and_contraction_estimate_reject_non_positive_and_nan(unit_box, 
         contraction_estimate(cost, unit_box, epsilon)
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
-@pytest.mark.parametrize("field", ["epsilon", "tol"])
+@pytest.mark.parametrize("field, value", [
+    *[(field, value) for field in ["epsilon", "tol"] for value in [0.0, -1.0, math.nan]],
+    # range() takes no float or bool; --set max_iter=50.0 reaches here as 50
+    ("max_iter", 2.5), ("max_iter", 50.0), ("max_iter", True), ("max_iter", np.float64(3.0)),
+])
 def test_config_rejects_non_positive_and_nan(field, value):
     with pytest.raises(ValueError, match=field):
         SinkhornConfig(**{"epsilon": 1.0, field: value})
