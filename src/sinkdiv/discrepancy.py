@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ZeroDiscrepancyError
 from .kernels import Kernel, SpectralKernel
-from .measures import DiscreteMeasure, _as_points
+from .measures import DiscreteMeasure, _as_points, _finite_points
 
 # Below this threshold the witness (division by the RKHS norm) is undefined.
 ZERO_DISCREPANCY_TOL = 1e-14
@@ -46,7 +46,7 @@ def discrepancy(kernel: Kernel, mu: DiscreteMeasure, nu: DiscreteMeasure) -> Dis
 
 def witness_unnormalized(kernel: Kernel, mu: DiscreteMeasure, nu: DiscreteMeasure, points) -> np.ndarray:
     """Embedding difference sum_i mu_i K(x_i, t) - sum_j nu_j K(y_j, t) at query points."""
-    pts = _as_points(points)
+    pts = _finite_points(points)
     return kernel.gram(pts, mu.points) @ mu.weights - kernel.gram(pts, nu.points) @ nu.weights
 
 

@@ -129,9 +129,10 @@ def epsilon_sweep(
     """One record per regularization value from independent cold solves.
 
     The records carry the sup distance of the normalized potentials to their
-    infinite-regularization limits; the terminal epsilon = inf record is the
-    same computation at the limit, where each solve is its closed-form step.
-    Non-converged solves are flagged per record and the sweep continues.
+    infinite-regularization limits. The terminal epsilon = inf record takes
+    its cross term from that limit solve (0 iterations, distances 0) and its
+    self terms from closed-form steps. Non-converged solves are flagged per
+    record and the sweep continues.
     """
     eps_values = sweep_epsilons(epsilons)
     template = cfg if cfg is not None else SinkhornConfig(epsilon=1.0)
@@ -140,16 +141,22 @@ def epsilon_sweep(
     records = []
     for eps in [*eps_values, math.inf]:
         cfg_eps = replace(template, epsilon=float(eps))
-        cross = solve(cost, mu, nu, cfg_eps)
-        fields = dict(epsilon=float(eps), iterations=cross.iterations,
-                      phi_dist_to_inf=float(np.max(np.abs(cross.potentials.phi - limits.phi_inf))),
-                      psi_dist_to_inf=float(np.max(np.abs(cross.potentials.psi - limits.psi_inf))))
-        cross_term = cross.value, cross.converged
-        # the cross solution and its cost matrix go before the self solves
-        del cross
+        if math.isinf(eps):
+            # ot_infinity is the epsilon = inf cross solve, read once
+            fields = dict(iterations=0, phi_dist_to_inf=0.0, psi_dist_to_inf=0.0)
+            cross_term = limits.ot_inf, True
+        else:
+            cross = solve(cost, mu, nu, cfg_eps)
+            pair = cross.potentials
+            fields = dict(iterations=cross.iterations,
+                          phi_dist_to_inf=float(np.max(np.abs(pair.phi - limits.phi_inf))),
+                          psi_dist_to_inf=float(np.max(np.abs(pair.psi - limits.psi_inf))))
+            cross_term = cross.value, cross.converged
+            # the cross solution and its cost matrix go before the self solves
+            del cross
         div = _divergence_from_cross(cost, mu, nu, cfg_eps, cross_term)
-        records.append(SweepRecord(**fields, ot_eps=div.ot_mu_nu, s_eps=div.s_eps,
-                                   converged=div.converged))
+        records.append(SweepRecord(**fields, epsilon=float(eps), ot_eps=div.ot_mu_nu,
+                                   s_eps=div.s_eps, converged=div.converged))
     return records
 
 

@@ -12,13 +12,14 @@ anchor shift all run on a block that stays in L2 cache, and only the finished
 block is written to the result. Every entry comes from the same elementwise
 operations as on the whole matrix, so the bits do not depend on the blocks.
 
-A matrix of _PARALLEL_CELLS cells or more runs its blocks, and the Sinkhorn
-solve its passes over row or column parts (_pool_parts), on the calling
-thread and a thread pool (_run_parts), as many threads as there are CPUs
+Every array computed in parts is filled by _fill_parts, with one part rule:
+row blocks of about 2^16 cells (_row_blocks) for cost and Gram matrices and
+sinkhorn.softmin, one row or column part per thread (_pool_parts) for the
+passes of a Sinkhorn solve. From _PARALLEL_CELLS cells on, the parts run on
+the calling thread and a thread pool (_run_parts), as many threads as CPUs
 per BLAS thread (_pool_width). numpy releases the GIL inside each part, and
 each part computes exactly what the whole-matrix pass computes for its rows
-or columns, so the pool changes how many CPUs work, never a bit of the
-result.
+or columns, so the pool changes how many CPUs work, never a bit of the result.
 """
 from __future__ import annotations
 
@@ -128,10 +129,10 @@ def _run_parts(task, parts: list, cells: int) -> None:
     Otherwise the calling thread and up to _WIDTH - 1 pool threads take the
     next part in turn until none is left, so a pool thread that starts late
     leaves its parts to the calling thread instead of holding the pass up.
-    A task writes its part of the result into an output of its own, and
-    must not reach the pool itself; the tasks here evaluate at most one
-    block, which is one part. Every task ends before this returns, and a
-    failing task's exception is raised as it was. Pool threads start with
+    A task writes only its own part (_fill_parts' fill, or an in-place
+    pass), and must not reach the pool itself; the tasks here evaluate at
+    most one block, which is one part. Every task ends before this returns,
+    and a failing task's exception is raised as it was. Pool threads start with
     numpy's default errstate, so a task that needs another sets it itself.
     """
     if len(parts) == 1 or _WIDTH == 1 or cells < _PARALLEL_CELLS:
@@ -189,30 +190,36 @@ def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
     at least 8, so every block starts on a multiple of 8. OpenBLAS gemv takes
     rows in groups of 4, so products block @ w then group rows as one product
     over the whole matrix does and give the same bits (blocks of 21 rows do
-    not). Row-wise max and sum give the same bits for any block.
+    not). Row-wise max and sum give the same bits for any block. An empty
+    matrix is one empty block, whose evaluation still checks the inputs.
     """
     rows = max(8, _BLOCK_CELLS // max(n_cols, 1) // 8 * 8)
-    return [slice(start, start + rows) for start in range(0, n_rows, rows)]
+    return [slice(start, start + rows) for start in range(0, max(n_rows, 1), rows)]
+
+
+def _fill_parts(compute, parts: list, cells: int, shape) -> np.ndarray:
+    """A new array of `shape` with out[part] = compute(part) for every part.
+
+    One part gives compute's own result, with no copy; more share the pool
+    through _run_parts, cells being the size of the matrix the parts cut.
+    """
+    if len(parts) == 1:
+        return compute(parts[0])
+    out = np.empty(shape)
+
+    def fill(part):
+        out[part] = compute(part)
+
+    _run_parts(fill, parts, cells)
+    return out
 
 
 def _by_row_blocks(evaluate, xs, ys) -> np.ndarray:
-    """The matrix evaluate(xs, ys), filled one row block of xs at a time.
-
-    A matrix that fits in one block is evaluate's own result, with no copy.
-    The blocks are the tasks of _run_parts.
-    """
+    """The matrix evaluate(xs, ys), filled one row block of xs at a time."""
     xs = _as_points(xs)
     ys = _as_points(ys)
-    blocks = _row_blocks(xs.shape[0], ys.shape[0])
-    if len(blocks) <= 1:
-        return evaluate(xs, ys)
-    out = np.empty((xs.shape[0], ys.shape[0]))
-
-    def fill(rows):
-        out[rows] = evaluate(xs[rows], ys)
-
-    _run_parts(fill, blocks, out.size)
-    return out
+    n, m = xs.shape[0], ys.shape[0]
+    return _fill_parts(lambda rows: evaluate(xs[rows], ys), _row_blocks(n, m), n * m, (n, m))
 
 
 class _RadialFunction:

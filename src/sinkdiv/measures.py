@@ -39,6 +39,14 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
+def _finite_points(points) -> np.ndarray:
+    """points as an (n, d) float array; NonFiniteValueError on a non-finite coordinate."""
+    pts = _as_points(points)
+    if not np.all(np.isfinite(pts)):
+        raise NonFiniteValueError("non-finite point coordinate")
+    return pts
+
+
 def _read_only(array: np.ndarray, given) -> np.ndarray:
     """array, read-only; copied first when it is (or views) the caller's writable `given`."""
     if array.flags.writeable and isinstance(given, np.ndarray) and np.may_share_memory(array, given):
@@ -110,14 +118,12 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        pts = _as_points(self.points)
+        pts = _finite_points(self.points)
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.shape[0] != pts.shape[0]:
             raise DimensionMismatchError(
                 f"weights shape {w.shape} does not match {pts.shape[0]} points"
             )
-        if not np.all(np.isfinite(pts)):
-            raise NonFiniteValueError("non-finite point coordinate")
         if not np.all(np.isfinite(w)):
             raise NonFiniteValueError("non-finite weight")
         object.__setattr__(self, "points", _read_only(np.ascontiguousarray(pts), self.points))

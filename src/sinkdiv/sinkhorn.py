@@ -43,14 +43,11 @@ Both forms feed the same iteration and give the same iterates up to
 rounding.
 
 softmin, the half-step at arbitrary query points (extend_potentials and the
-witness), builds and reduces the cost one row block at a time
-(kernels._row_blocks), so it never holds a query x atoms matrix. A solve
-keeps its dense K, and runs G = exp(K - max K), the products and the
-log-sum-exps over K in row or column parts (kernels._pool_parts), one per
-thread. From kernels._PARALLEL_CELLS cells on, those parts and softmin's
-blocks run on the kernels thread pool; each part computes what the whole
-pass computes for its rows or columns, so the bits do not depend on the
-pool.
+witness), builds and reduces the cost one row block at a time, so it never
+holds a query x atoms matrix. A solve keeps its dense K, and runs G = exp(K
+- max K), the products and the log-sum-exps over K in row or column parts.
+Both cut and run their parts as the kernels module docstring sets out, and
+the bits do not depend on the parts or the pool.
 
 A solve returns the potentials and the dual value. The solution keeps the
 cost matrix the solve built, at every epsilon, and builds the dense plan, its
@@ -68,8 +65,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteValueError
 from .exact_ot import TransportPlan
-from .kernels import Cost, _pool_parts, _row_blocks, _run_parts
-from .measures import BoundingBox, DiscreteMeasure, _as_points
+from .kernels import Cost, _fill_parts, _pool_parts, _row_blocks, _run_parts
+from .measures import DiscreteMeasure, _as_points, _finite_points
 
 
 def _check_integer(value, name: str):
@@ -123,16 +120,6 @@ class LimitPotentials:
     def potentials(self) -> PotentialPair:
         """The limit potentials as an epsilon = inf pair, ready for extend_potentials."""
         return PotentialPair(phi=self.phi_inf, psi=self.psi_inf, epsilon=math.inf)
-
-
-@dataclass(frozen=True)
-class ContractionEstimate:
-    """Contraction factor 1 - exp(-2 L diam / epsilon) of the softmin half-step."""
-
-    lipschitz: float
-    diam: float
-    epsilon: float
-    kappa: float
 
 
 @dataclass(frozen=True)
@@ -245,19 +232,18 @@ def softmin(cost: Cost, m: DiscreteMeasure, phi: np.ndarray, epsilon: float, que
     epsilon = math.inf gives the limit of the half-step, the m-average of
     c(x, .) - phi. phi must be a finite vector with one entry per atom of m.
 
-    The query points run in the cost's row blocks (kernels._row_blocks): each
-    block of the cost is built and reduced at once, by a log-sum-exp or, at
-    epsilon = inf, by block @ w, so memory beyond the result stays at one
-    block of about 2^16 cells however many query points there are, or one
-    per pool thread when the blocks run on the kernels thread pool. Blocks
-    start on multiples of 8 rows, where gemv groups rows as it does over the
-    whole matrix, so the result has the same bits as one unblocked pass on
-    one BLAS thread.
+    The query points run in the cost's row blocks (the part rule is in the
+    kernels module docstring): each block of the cost is built and reduced
+    at once, by a log-sum-exp or, at epsilon = inf, by block @ w, so memory
+    beyond the result stays at one block per thread however many query
+    points there are, and the result has the same bits as one unblocked pass
+    on one BLAS thread. A non-finite query coordinate raises
+    NonFiniteValueError.
     """
     # written so that NaN fails too
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    pts = _as_points(query_points)
+    pts = _finite_points(query_points)
     phi = _finite_vector(phi, len(m), "phi")
     weights = m.weights
     if math.isinf(epsilon):
@@ -273,29 +259,22 @@ def softmin(cost: Cost, m: DiscreteMeasure, phi: np.ndarray, epsilon: float, que
             k_block = np.divide(c_block, -epsilon, out=c_block)
             return _log_sum_exp(k_block, g, epsilon, 1, k_block)
 
-    out = np.empty(pts.shape[0])
-
-    def fill(rows):
-        out[rows] = reduce(cost.matrix(pts[rows], m.points))
-
-    _run_parts(fill, _row_blocks(pts.shape[0], len(m)), pts.shape[0] * len(m))
-    return out
+    n = pts.shape[0]
+    return _fill_parts(lambda rows: reduce(cost.matrix(pts[rows], m.points)),
+                       _row_blocks(n, len(m)), n * len(m), n)
 
 
-def contraction_estimate(cost: Cost, box: BoundingBox, epsilon: float) -> ContractionEstimate:
-    """kappa = 1 - exp(-2 L diam / epsilon) for the cost's Lipschitz constant.
+def contraction_estimate(cost: Cost, epsilon: float) -> float:
+    """kappa = 1 - exp(-2 L diam / epsilon), the contraction factor of the softmin half-step.
 
-    At epsilon = inf, the closed-form step of solve, the half-step maps every
-    potential to the same one up to a constant, so kappa is 0 for every cost,
-    an infinite L included.
+    L is cost.lipschitz and diam is cost.box.diameter. At epsilon = inf, the
+    closed-form step of solve, the half-step maps every potential to the same
+    one up to a constant, so kappa is 0 for every cost, an infinite L included.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    exponent = 0.0 if math.isinf(epsilon) else -2.0 * cost.lipschitz * box.diameter / epsilon
-    kappa = 1.0 - float(np.exp(exponent))
-    return ContractionEstimate(
-        lipschitz=cost.lipschitz, diam=box.diameter, epsilon=epsilon, kappa=kappa
-    )
+    exponent = 0.0 if math.isinf(epsilon) else -2.0 * cost.lipschitz * cost.box.diameter / epsilon
+    return 1.0 - float(np.exp(exponent))
 
 
 def potential_lipschitz_check(
@@ -339,11 +318,11 @@ def _half_steps(k_matrix: np.ndarray, eps: float, log_w_mu: np.ndarray, log_w_nu
     half-step is one gemv with no n x m temporary; beyond it (or on a NaN
     span), a log-sum-exp along either axis of K in one scratch buffer.
 
-    The passes that write or reduce along an axis of K run over
-    kernels._pool_parts: rows for exp(K - max K) and the reductions along
-    axis 1, columns for those along axis 0, so each output entry is one
-    whole reduction and no partial sums are added. K must be C-contiguous,
-    as _fixed_point builds it.
+    The passes that write or reduce along an axis of K run in the solve's
+    parts (the part rule is in the kernels module docstring): rows for
+    exp(K - max K) and the reductions along axis 1, columns for those along
+    axis 0, so each output entry is one whole reduction and no partial sums
+    are added. K must be C-contiguous, as _fixed_point builds it.
     """
     n, m = k_matrix.shape
     cells = n * m
@@ -351,18 +330,10 @@ def _half_steps(k_matrix: np.ndarray, eps: float, log_w_mu: np.ndarray, log_w_nu
 
     def by_parts(axis, reduce_part):
         # the n (axis 1) or m (axis 0) results, reduce_part(index) giving
-        # those of the rows or columns that index selects from K; a single
-        # part (every matrix below kernels._PARALLEL_CELLS) is reduced whole
-        parts = rows if axis == 1 else cols
-        if len(parts) == 1:
-            return reduce_part(...)
-        out = np.empty(n if axis == 1 else m)
-
-        def task(part):
-            out[part] = reduce_part(part if axis == 1 else (slice(None), part))
-
-        _run_parts(task, parts, cells)
-        return out
+        # those of the rows or columns that index selects from K
+        if axis == 1:
+            return _fill_parts(reduce_part, rows, cells, n)
+        return _fill_parts(lambda part: reduce_part((slice(None), part)), cols, cells, m)
 
     k_max = float(np.max(k_matrix))
     if k_max - float(np.min(k_matrix)) <= _GIBBS_MAX_SPAN:
@@ -605,7 +576,7 @@ def solve(
     row_avg = c_matrix @ w_nu
     # half the independent-coupling cost, the normalization <phi, mu>
     half_ot = 0.5 * float(w_mu @ row_avg)
-    kappa = contraction_estimate(cost, cost.box, eps).kappa
+    kappa = contraction_estimate(cost, eps)
     if math.isinf(eps):
         phi = row_avg
         psi = c_matrix.T @ w_mu - float(phi @ w_mu)

@@ -1,5 +1,6 @@
 """Sinkhorn divergence, infinite-regularization identities, sweeps."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sinkdiv import (
     Gaussian,
     NegatedKernel,
     NegativeDistance,
+    PotentialPair,
     ShiftedNegativeDistance,
     SinkhornConfig,
     dirac,
@@ -18,15 +20,18 @@ from sinkdiv import (
     epsilon_sweep,
     exact_ot,
     ot_infinity,
+    potential_lipschitz_check,
     s_infinity,
     sinkhorn_divergence,
+    softmin,
     uniform,
     witness_eval,
     witness_from_limits,
     write_sweep_csv,
 )
 from sinkdiv.divergence import DEFAULT_EPSILONS
-from sinkdiv.errors import NotNegatedKernelError, ZeroDiscrepancyError
+from sinkdiv.errors import NonFiniteValueError, NotNegatedKernelError, ZeroDiscrepancyError
+from sinkdiv.sinkhorn import extend_potentials
 
 from conftest import random_measure
 
@@ -163,6 +168,30 @@ def test_witness_from_limits_zero_discrepancy(unit_box):
     with pytest.raises(ZeroDiscrepancyError):
         witness_from_limits(Gaussian(unit_box, c=0.5), m, m, np.array([[0.5]]))
 
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("epsilon", [0.1, math.inf])
+def test_non_finite_query_points_raise(unit_box, bad, epsilon):
+    # a NaN coordinate would give NaN, an infinite one a RuntimeWarning at
+    # finite epsilon and inf at epsilon = inf; each raises before any of that
+    kernel = Gaussian(unit_box, c=0.4)
+    cost = NegatedKernel(kernel)
+    mu, nu = dirac([0.2]), uniform(np.array([[0.5], [0.9]]))
+    points = np.array([[0.3], [bad]])
+    pair = PotentialPair(phi=np.zeros(1), psi=np.zeros(2), epsilon=epsilon)
+    calls = [
+        lambda: softmin(cost, nu, np.zeros(2), epsilon, points),
+        lambda: extend_potentials(cost, mu, nu, pair, points),
+        lambda: potential_lipschitz_check(cost, nu, np.zeros(2), epsilon,
+                                          np.stack([points, points[::-1]], axis=1)),
+        lambda: witness_eval(kernel, mu, nu, points),
+        lambda: witness_from_limits(kernel, mu, nu, points),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(NonFiniteValueError, match="non-finite"):
+                call()
 
 # ---------------------------------------------------------------------------
 # limit witness vs the converged large-epsilon potentials

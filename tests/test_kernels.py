@@ -429,6 +429,30 @@ def test_task_error_reaches_the_caller_with_its_type(monkeypatch):
     assert sorted(done) == [0, 16]
 
 
+def test_fill_parts_of_one_part_returns_computes_own_array():
+    whole = np.arange(6.0)
+    assert kernels._fill_parts(lambda part: whole, [slice(0, 6)], 6, 6) is whole
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+@pytest.mark.parametrize("shape", [(203,), (203, 37)])
+def test_fill_parts_bitwise_equal_one_whole_compute(monkeypatch, pooled, shape):
+    # inline at width 1; on the pool with every matrix pooled at width 2
+    monkeypatch.setattr(kernels, "_PARALLEL_CELLS", 1 if pooled else kernels._PARALLEL_CELLS)
+    monkeypatch.setattr(kernels, "_WIDTH", 2 if pooled else 1)
+    source = np.random.default_rng(43).random((203, 37))
+
+    def compute(rows):
+        block = np.exp(source[rows] * 3.0)
+        return np.log(block.sum(axis=1)) if len(shape) == 1 else block
+
+    parts = [slice(start, start + 8) for start in range(0, 203, 8)]
+    filled = kernels._fill_parts(compute, parts, source.size, shape)
+    whole = compute(slice(None))
+    assert filled.shape == shape
+    assert filled.tobytes() == whole.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # JSON construction
 # ---------------------------------------------------------------------------
