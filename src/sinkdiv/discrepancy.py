@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ZeroDiscrepancyError
 from .kernels import Kernel, SpectralKernel
-from .measures import DiscreteMeasure, _as_points, _finite_points
+from .measures import DiscreteMeasure, _finite_points
 
 # Below this threshold the witness (division by the RKHS norm) is undefined.
 ZERO_DISCREPANCY_TOL = 1e-14
@@ -101,8 +101,9 @@ def halftoning_energy(kernel: Kernel, target: DiscreteMeasure, positions) -> flo
 
     (1 / 2M^2) sum_{i,j} K(p_i, p_j) - (1 / M) sum_i sum_a w_a K(x_a, p_i);
     equals half the squared discrepancy minus the constant target self-term.
+    A non-finite position coordinate raises NonFiniteValueError.
     """
-    pts = _as_points(positions)
+    pts = _finite_points(positions)
     m_count = pts.shape[0]
     repulsion = float(np.sum(kernel.gram(pts, pts))) / (2.0 * m_count * m_count)
     attraction = float(np.sum(kernel.gram(target.points, pts) * target.weights[:, None])) / m_count

@@ -12,13 +12,10 @@ A cross solve alternates plainly for 8 turns, then over-relaxes both
 half-steps, phi <- (1 - omega) phi + omega T_nu(psi) and the same for psi,
 with omega taken from the observed residual rate (Thibault, Chizat, Dossal
 & Papadakis 2021, Algorithms 14(5); Lehmann, von Renesse, Sambale &
-Uschmajew 2022, Optim. Lett.). A relaxed turn's residual adds to the plain
-update the part of the row step that omega carried past the plain one, so
-it bounds the kept pair's distance from a fixed point as the plain update
-does. A relaxed turn is kept only while that residual contracts by kappa
-and the dual value does not fall, so the residual history of every kept
-turn contracts as plain alternation is proven to; the rule is in
-_overrelaxed.
+Uschmajew 2022, Optim. Lett.). A relaxed turn's residual bounds the kept
+pair's distance from a fixed point as the plain update does, and the turn
+is kept only while that residual contracts by kappa, as plain alternation
+is proven to; the rule is in _overrelaxed.
 
 Potentials, unique only up to (phi + c, psi - c), always carry the
 normalization sum_i phi_i mu_i = OT_inf / 2, so potentials at different
@@ -66,7 +63,7 @@ import numpy as np
 from .errors import DimensionMismatchError, NonFiniteValueError
 from .exact_ot import TransportPlan
 from .kernels import Cost, _fill_parts, _pool_parts, _row_blocks, _run_parts
-from .measures import DiscreteMeasure, _as_points, _finite_points
+from .measures import DiscreteMeasure, _finite_points
 
 
 def _check_integer(value, name: str):
@@ -286,23 +283,26 @@ def potential_lipschitz_check(
 ) -> float:
     """Largest difference quotient of T(phi) over probe point pairs.
 
-    The half-step inherits the cost's Lipschitz constant, so the result is
-    bounded by cost.lipschitz up to rounding.
+    probe_pairs is a (k, 2, d) array of point pairs, at least one of them
+    two distinct points. The half-step inherits the cost's Lipschitz
+    constant, so the result is bounded by cost.lipschitz up to rounding.
     """
     pairs = np.asarray(probe_pairs, dtype=float)
-    first = _as_points(pairs[:, 0])
-    second = _as_points(pairs[:, 1])
+    if pairs.ndim != 3 or pairs.shape[1] != 2:
+        raise DimensionMismatchError(
+            f"probe_pairs must be a (k, 2, d) array, got shape {pairs.shape}")
+    first, second = pairs[:, 0], pairs[:, 1]
     t1 = softmin(cost, m, phi, epsilon, first)
     t2 = softmin(cost, m, phi, epsilon, second)
     gaps = np.linalg.norm(first - second, axis=1)
     valid = gaps > 0
+    if not valid.any():
+        raise ValueError("probe_pairs holds no pair of distinct points")
     return float(np.max(np.abs(t1[valid] - t2[valid]) / gaps[valid]))
 
 
 def _is_self_problem(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
-    if mu is nu:
-        return True
-    return (
+    return mu is nu or (
         mu.points.shape == nu.points.shape
         and np.array_equal(mu.points, nu.points)
         and np.array_equal(mu.weights, nu.weights)
@@ -371,8 +371,6 @@ def _half_steps(k_matrix: np.ndarray, eps: float, log_w_mu: np.ndarray, log_w_nu
 # _PLAIN_ITERATIONS turns are plain; their residuals give the plain rate
 # theta = (r_8 / r_4)^(1/4), read after the start-up transient.
 _PLAIN_ITERATIONS = 8
-# A plain rate below this converges fast enough as it is: no relaxation.
-_MIN_RELAX_RATE = 0.5
 # Cap on omega, below the divergence edge omega = 2.
 _MAX_OMEGA = 1.9
 # Cap on the first omega - 1, as a share of 1 - theta. The first relaxed
@@ -386,9 +384,9 @@ _YOUNG_PERIOD = 6
 # A re-estimate raises omega - 1 by at most this factor, for the same reason.
 _MAX_GROWTH = 2.0
 # A rejected turn halves omega - 1; below this the solve turns plain for good.
+# A first omega below it leaves the solve plain, which keeps a fast plain rate
+# plain: the optimal omega is below 1.05 for every theta below about 0.18.
 _MIN_OMEGA = 1.05
-# Relative slack of the dual-ascent test, room for rounding in two dot products.
-_DUAL_SLACK = 1e-14
 
 
 def _optimal_omega(theta: float) -> float:
@@ -409,7 +407,7 @@ def _fixed_point(c_matrix, mu, nu, cfg, start, kappa):
                              _log_weights(mu.weights), _log_weights(nu.weights))
     if _is_self_problem(mu, nu):
         return _averaged(t_nu, t_mu, cfg, start)
-    return _overrelaxed(t_nu, t_mu, mu.weights, nu.weights, cfg, start, kappa)
+    return _overrelaxed(t_nu, t_mu, cfg, start, kappa)
 
 
 def _averaged(t_nu, t_mu, cfg, start):
@@ -431,7 +429,7 @@ def _averaged(t_nu, t_mu, cfg, start):
     return phi, t_mu(phi), iterations, residuals, residuals[-1] <= cfg.tol, 1.0
 
 
-def _overrelaxed(t_nu, t_mu, w_mu, w_nu, cfg, start, kappa):
+def _overrelaxed(t_nu, t_mu, cfg, start, kappa):
     """Safeguarded over-relaxed alternation from psi = start.
 
     Each turn takes phi <- phi + omega (t_nu(psi) - phi), then psi <- psi +
@@ -448,32 +446,28 @@ def _overrelaxed(t_nu, t_mu, w_mu, w_nu, cfg, start, kappa):
     that pair's.
 
     The first _PLAIN_ITERATIONS turns are plain alternation, bit for bit.
-    Then, if the plain rate theta = (r_8 / r_4)^(1/4) lies in
-    [_MIN_RELAX_RATE, 1), omega = 2 / (1 + sqrt(1 - theta)), with omega - 1
-    capped at _FIRST_SHARE (1 - theta); below _MIN_OMEGA the solve stays
-    plain. Every _YOUNG_PERIOD kept relaxed turns, theta is read again from
-    the relaxed rate rho of the last four through Young's relation
-    (rho + omega - 1)^2 = rho omega^2 theta, when omega - 1 < rho < 1 (which
-    keeps theta below 1), and omega moves to its optimum, capped at
-    _MAX_OMEGA and at _MAX_GROWTH times the old omega - 1.
+    Then, if the plain rate theta = (r_8 / r_4)^(1/4) is below 1, omega =
+    2 / (1 + sqrt(1 - theta)), with omega - 1 capped at _FIRST_SHARE (1 -
+    theta); below _MIN_OMEGA the solve stays plain. Every _YOUNG_PERIOD
+    kept relaxed turns, theta is read again from the relaxed rate rho of the
+    last four through Young's relation (rho + omega - 1)^2 = rho omega^2
+    theta, when omega - 1 < rho < 1 (which keeps theta below 1), and omega
+    moves to its optimum, capped at _MAX_OMEGA and at _MAX_GROWTH times the
+    old omega - 1.
 
     A relaxed turn is kept only if its residual is at most kappa times the
-    last kept one and its dual value <phi, w_mu> + <t_mu(phi), w_nu> (the
-    dual objective, whose entropic term is exact after the column half-step)
-    falls no more than _DUAL_SLACK of the best so far below it. A turn that
-    fails is rejected: the next starts again from the last kept pair's
-    plain image with omega - 1 halved (omega is 1 for good below
-    _MIN_OMEGA), and once a turn at a re-estimated omega has been rejected,
-    theta is not read again. Plain turns need no test: by the bound above
-    they contract by kappa. So `residuals` holds every kept turn, each at
-    most kappa times the one before, the last one that of the returned pair,
-    and `iterations` counts every turn, rejected ones too.
+    last kept one. A turn that fails is rejected: the next starts again
+    from the last kept pair's plain image with omega - 1 halved (omega is 1
+    for good below _MIN_OMEGA), and once a turn at a re-estimated omega has
+    been rejected, theta is not read again. Plain turns need no test: by
+    the bound above they contract by kappa. So `residuals` holds every kept
+    turn, each at most kappa times the one before, the last one that of the
+    returned pair, and `iterations` counts every turn, rejected ones too.
     """
     residuals = []
     phi = image = None
     psi = start
-    # best is the best dual value so far, None until relaxation starts
-    omega, relaxed_turns, best = 1.0, 0, None
+    omega, relaxed_turns = 1.0, 0
     # re-estimates stop once a turn at a re-estimated omega is rejected
     grow, reestimated = True, False
     for iterations in range(1, cfg.max_iter + 1):
@@ -485,15 +479,13 @@ def _overrelaxed(t_nu, t_mu, w_mu, w_nu, cfg, start, kappa):
         res = _oscillation(image_new - psi)
         if omega > 1.0:
             res += (omega - 1.0) * _oscillation(step)
-            dual = float(phi_new @ w_mu + image_new @ w_nu)
-            if res > kappa * residuals[-1] or dual < best - _DUAL_SLACK * abs(best):
+            if res > kappa * residuals[-1]:
                 psi = image
                 omega = 1.0 + 0.5 * (omega - 1.0)
                 if omega < _MIN_OMEGA:
                     omega = 1.0
                 relaxed_turns, grow = 0, grow and not reestimated
                 continue
-            best = max(best, dual)
             psi = psi + omega * (image_new - psi)
             relaxed_turns += 1
         else:
@@ -504,10 +496,10 @@ def _overrelaxed(t_nu, t_mu, w_mu, w_nu, cfg, start, kappa):
             break
         if iterations == _PLAIN_ITERATIONS:
             theta = (residuals[-1] / residuals[-5]) ** 0.25
-            if _MIN_RELAX_RATE <= theta < 1.0:
+            if theta < 1.0:
                 first = min(_optimal_omega(theta), 1.0 + _FIRST_SHARE * (1.0 - theta))
                 if first >= _MIN_OMEGA:
-                    omega, best = first, float(phi @ w_mu + image @ w_nu)
+                    omega = first
         elif grow and relaxed_turns == _YOUNG_PERIOD:
             relaxed_turns = 0
             rho = (residuals[-1] / residuals[-5]) ** 0.25

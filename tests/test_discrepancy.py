@@ -1,5 +1,6 @@
 """Discrepancy double sums, witness functions, spectral form, halftoning energy."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from sinkdiv import (
     uniform,
     witness_eval,
 )
-from sinkdiv.errors import DimensionMismatchError, ZeroDiscrepancyError
+from sinkdiv.errors import DimensionMismatchError, NonFiniteValueError, ZeroDiscrepancyError
 
 from conftest import random_measure
 
@@ -226,6 +227,17 @@ def test_halftoning_single_atom(unit_square):
     p = np.array([[0.7, 0.7]])
     energy = halftoning_energy(k, dirac(x), p)
     assert energy == pytest.approx(0.5 * k.eval(p[0], p[0]) - k.eval(x, p[0]), abs=1e-14)
+
+def test_halftoning_rejects_non_finite_positions(unit_square):
+    k = Gaussian(unit_square, c=0.4)
+    target = uniform([[0.2, 0.2], [0.5, 0.5]])
+    # unchecked, a NaN coordinate would give nan and an infinite one a
+    # RuntimeWarning; each raises before any of that
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in [math.nan, math.inf]:
+            with pytest.raises(NonFiniteValueError, match="non-finite"):
+                halftoning_energy(k, target, [[0.3, 0.3], [0.4, bad]])
 
 def test_halftoning_vs_discrepancy_identity(unit_square):
     rng = np.random.default_rng(7)

@@ -606,19 +606,23 @@ def test_cross_solve_matches_plain_alternation(unit_square):
         assert np.max(np.abs(sol.potentials.psi - half_step)) <= 1e-12
     assert relaxed >= 1
 
-def test_overrelaxation_cuts_iterations(monkeypatch, unit_square):
+@pytest.mark.parametrize("n, m, eps, share", [(300, 300, 0.1, 0.6), (60, 50, 0.3, 0.9)],
+                         ids=["300x300-eps0.1", "60x50-eps0.3"])
+def test_overrelaxation_cuts_iterations(monkeypatch, unit_square, n, m, eps, share):
+    # the 60 x 50 pair at eps = 0.3 has a fast plain rate (about 0.29) and
+    # relaxes at omega ~ 1.08
     rng = np.random.default_rng(31)
     cost = AbsDistance(unit_square)
-    mu = random_measure(rng, 300, unit_square)
-    nu = random_measure(rng, 300, unit_square)
-    cfg = SinkhornConfig(epsilon=0.1)
+    mu = random_measure(rng, n, unit_square)
+    nu = random_measure(rng, m, unit_square)
+    cfg = SinkhornConfig(epsilon=eps)
     sol = solve(cost, mu, nu, cfg)
-    # no plain rate reaches an infinite threshold, so the reference never relaxes
-    monkeypatch.setattr(sinkhorn, "_MIN_RELAX_RATE", math.inf)
+    # no first omega reaches an infinite floor, so the reference never relaxes
+    monkeypatch.setattr(sinkhorn, "_MIN_OMEGA", math.inf)
     plain = solve(cost, mu, nu, cfg)
     assert sol.converged and plain.converged and plain.omega == 1.0
     assert sol.omega > 1.0
-    assert sol.iterations <= 0.6 * plain.iterations
+    assert sol.iterations <= share * plain.iterations
     assert sol.value == pytest.approx(plain.value, abs=1e-12)
 
 def _relaxed_pair(seed):
@@ -695,7 +699,9 @@ def test_omega_is_one_without_relaxation(unit_square):
     cost = AbsDistance(unit_square)
     mu = random_measure(rng, 60, unit_square)
     nu = random_measure(rng, 50, unit_square)
-    # a self problem, the limit and a fast plain rate (eps = 10) never relax
+    # a self problem and the limit never relax; a fast plain rate (eps = 10)
+    # stays plain, as its optimal omega is below the _MIN_OMEGA floor (this
+    # solve even ends within the plain turns)
     for a, b, eps in [(mu, mu, 0.1), (mu, nu, math.inf), (mu, nu, 10.0)]:
         sol = solve(cost, a, b, SinkhornConfig(epsilon=eps))
         assert sol.omega == 1.0
@@ -961,6 +967,16 @@ def test_half_step_inherits_cost_lipschitz(unit_box):
         pairs = rng.random((1000, 2, 1))
         ratio = potential_lipschitz_check(cost, m, phi, 0.25, pairs)
         assert ratio <= cost.lipschitz + 1e-9
+
+def test_lipschitz_check_rejects_malformed_probe_pairs(unit_box):
+    cost, m = AbsDistance(unit_box), dirac([0.4])
+    with pytest.raises(DimensionMismatchError, match="probe_pairs"):
+        potential_lipschitz_check(cost, m, np.zeros(1), 0.5, [0.1, 0.2])
+    with pytest.raises(DimensionMismatchError, match="probe_pairs"):
+        potential_lipschitz_check(cost, m, np.zeros(1), 0.5, np.zeros((3, 3, 1)))
+    # coincident pairs give no difference quotient
+    with pytest.raises(ValueError, match="probe_pairs"):
+        potential_lipschitz_check(cost, m, np.zeros(1), 0.5, [[[0.1], [0.1]]])
 
 def test_half_step_range_bound(unit_box):
     cost = AbsDistance(unit_box)
