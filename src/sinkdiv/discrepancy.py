@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ZeroDiscrepancyError
+from .errors import DimensionMismatchError, ZeroDiscrepancyError, ZeroMassError
 from .kernels import Kernel, SpectralKernel
 from .measures import DiscreteMeasure, _finite_points
 
@@ -101,10 +101,13 @@ def halftoning_energy(kernel: Kernel, target: DiscreteMeasure, positions) -> flo
 
     (1 / 2M^2) sum_{i,j} K(p_i, p_j) - (1 / M) sum_i sum_a w_a K(x_a, p_i);
     equals half the squared discrepancy minus the constant target self-term.
-    A non-finite position coordinate raises NonFiniteValueError.
+    A non-finite position coordinate raises NonFiniteValueError, and no
+    positions raise ZeroMassError.
     """
     pts = _finite_points(positions)
     m_count = pts.shape[0]
+    if m_count == 0:
+        raise ZeroMassError("halftoning_energy needs at least one position")
     repulsion = float(np.sum(kernel.gram(pts, pts))) / (2.0 * m_count * m_count)
     attraction = float(np.sum(kernel.gram(target.points, pts) * target.weights[:, None])) / m_count
     return repulsion - attraction

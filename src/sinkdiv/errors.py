@@ -34,7 +34,7 @@ class SupportMismatchError(SinkdivError):
 
 
 class ZeroMassError(SinkdivError):
-    """A density evaluated to zero everywhere on the sampling grid."""
+    """A measure or point set has no mass: no atoms, zero total weight or a vanishing density."""
 
 
 class NonDifferentiablePointError(SinkdivError):

@@ -23,6 +23,7 @@ or columns, so the pool changes how many CPUs work, never a bit of the result.
 """
 from __future__ import annotations
 
+import math
 import os
 import threading
 
@@ -331,6 +332,14 @@ def _plan_contraction(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray) -> np
 # Kernels
 # ---------------------------------------------------------------------------
 
+def _positive(owner: str, name: str, value) -> float:
+    """value as a float; ValueError naming the parameter unless 0 < value < inf."""
+    # written so that NaN fails too
+    if not 0 < value < math.inf:
+        raise ValueError(f"{owner} requires a finite {name} > 0, got {value!r}")
+    return float(value)
+
+
 class Kernel(_RadialFunction):
     """Symmetric kernel with Lipschitz metadata."""
 
@@ -343,9 +352,7 @@ class Gaussian(Kernel):
     variant = "Gaussian"
 
     def __init__(self, box: BoundingBox, c: float = 1.0):
-        if c <= 0:
-            raise ValueError("Gaussian requires c > 0")
-        self.c = float(c)
+        self.c = _positive("Gaussian", "c", c)
         super().__init__(box)
 
     def _profile(self, r):
@@ -368,10 +375,8 @@ class InverseMultiquadric(Kernel):
     variant = "InverseMultiquadric"
 
     def __init__(self, box: BoundingBox, c: float = 1.0, p: float = 0.5):
-        if c <= 0 or p <= 0:
-            raise ValueError("InverseMultiquadric requires c > 0 and p > 0")
-        self.c = float(c)
-        self.p = float(p)
+        self.c = _positive("InverseMultiquadric", "c", c)
+        self.p = _positive("InverseMultiquadric", "p", p)
         super().__init__(box)
 
     def _profile(self, r):
@@ -392,8 +397,9 @@ class WendlandPower(Kernel):
 
     def __init__(self, box: BoundingBox, p: float):
         min_p = box.dim // 2 + 1
-        if p < min_p:
-            raise ValueError(f"WendlandPower in dimension {box.dim} requires p >= {min_p}")
+        if not min_p <= p < math.inf:
+            raise ValueError(
+                f"WendlandPower in dimension {box.dim} requires a finite p >= {min_p}, got {p!r}")
         self.p = float(p)
         super().__init__(box)
 
@@ -435,9 +441,7 @@ class ShiftedNegativeDistance(Kernel):
     def __init__(self, box: BoundingBox, C: float | None = None):
         if C is None:
             C = 2.0 * box.diameter
-        if C <= 0:
-            raise ValueError("ShiftedNegativeDistance requires C > 0")
-        self.C = float(C)
+        self.C = _positive("ShiftedNegativeDistance", "C", C)
         super().__init__(box)
 
     def _profile(self, r):
@@ -456,9 +460,7 @@ class SmoothedNegativeDistance(Kernel):
     variant = "SmoothedNegativeDistance"
 
     def __init__(self, box: BoundingBox, c: float = 1e-2):
-        if c <= 0:
-            raise ValueError("SmoothedNegativeDistance requires c > 0")
-        self.c = float(c)
+        self.c = _positive("SmoothedNegativeDistance", "c", c)
         super().__init__(box)
 
     def _profile(self, r):
@@ -491,6 +493,8 @@ class CpdShifted(Kernel):
             raise DimensionMismatchError(
                 f"anchor dimension {u.shape[0]} != box dimension {base.box.dim}"
             )
+        if not np.all(np.isfinite(u)):
+            raise ValueError(f"CpdShifted requires a finite anchor, got {u.tolist()}")
         u.flags.writeable = False
         self.anchor = u
         self._kuu = base.eval(u, u)
@@ -543,9 +547,12 @@ class SpectralKernel(Kernel):
     variant = "SpectralKernel"
 
     def __init__(self, alpha, box: BoundingBox | None = None):
-        a = np.asarray(alpha, dtype=float).ravel()
-        if np.any(a < 0):
-            raise ValueError("spectral coefficients must be non-negative")
+        a = np.array(alpha, dtype=float)
+        if a.ndim != 1 or a.size == 0:
+            raise ValueError(f"SpectralKernel requires a non-empty 1-D alpha, got shape {a.shape}")
+        # written so that NaN fails too
+        if not np.all((a >= 0) & (a < math.inf)):
+            raise ValueError("SpectralKernel requires finite non-negative alpha")
         a.flags.writeable = False
         self.alpha = a
         if box is None:
@@ -619,10 +626,8 @@ class PowerDistance(Cost):
     variant = "PowerDistance"
 
     def __init__(self, box: BoundingBox, p: float):
-        if p <= 0:
-            raise ValueError("PowerDistance requires p > 0")
-        self.p = float(p)
-        self.smooth_at_zero = p > 1
+        self.p = _positive("PowerDistance", "p", p)
+        self.smooth_at_zero = self.p > 1
         super().__init__(box)
 
     def _profile(self, r):

@@ -108,7 +108,8 @@ class DiscreteMeasure:
     """Weighted point cloud sum_i w_i * delta(x_i) in R^d.
 
     The raw constructor stores points and weights as given, after checking
-    their shapes and that every entry is finite; use :meth:`normalized` to
+    their shapes, that every entry is finite and that there is at least one
+    atom (ZeroMassError otherwise); use :meth:`normalized` to
     renormalize the weights exactly once. The stored arrays are read-only
     and safe to share across threads; a caller's writable array is copied,
     never frozen, and a read-only one (another measure's) is shared.
@@ -126,6 +127,8 @@ class DiscreteMeasure:
             )
         if not np.all(np.isfinite(w)):
             raise NonFiniteValueError("non-finite weight")
+        if w.shape[0] == 0:
+            raise ZeroMassError("a measure needs at least one atom")
         object.__setattr__(self, "points", _read_only(np.ascontiguousarray(pts), self.points))
         object.__setattr__(self, "weights", _read_only(np.ascontiguousarray(w), self.weights))
 
@@ -134,7 +137,8 @@ class DiscreteMeasure:
         """Construct a probability measure, dividing the weights by their sum once."""
         pts = _as_points(points)
         if weights is None:
-            w = np.full(pts.shape[0], 1.0 / pts.shape[0])
+            # no atoms give no weights, which the constructor rejects
+            w = np.ones(pts.shape[0]) / pts.shape[0]
         else:
             # shape and finiteness are checked before any arithmetic
             w = cls(pts, weights).weights

@@ -10,12 +10,13 @@ regularization parameter.
 
 A cross solve alternates plainly for 8 turns, then over-relaxes both
 half-steps, phi <- (1 - omega) phi + omega T_nu(psi) and the same for psi,
-with omega taken from the observed residual rate (Thibault, Chizat, Dossal
-& Papadakis 2021, Algorithms 14(5); Lehmann, von Renesse, Sambale &
-Uschmajew 2022, Optim. Lett.). A relaxed turn's residual bounds the kept
-pair's distance from a fixed point as the plain update does, and the turn
-is kept only while that residual contracts by kappa, as plain alternation
-is proven to; the rule is in _overrelaxed.
+with omega taken from the observed residual rate and re-read from the
+relaxed rate for the whole solve (Thibault, Chizat, Dossal & Papadakis 2021,
+Algorithms 14(5); Lehmann, von Renesse, Sambale & Uschmajew 2022, Optim.
+Lett.). A relaxed turn's residual bounds the kept pair's distance from a
+fixed point as the plain update does, and the turn is kept only while that
+residual contracts by kappa, as plain alternation is proven to; the rule is
+in _overrelaxed.
 
 Potentials, unique only up to (phi + c, psi - c), always carry the
 normalization sum_i phi_i mu_i = OT_inf / 2, so potentials at different
@@ -371,8 +372,6 @@ def _half_steps(k_matrix: np.ndarray, eps: float, log_w_mu: np.ndarray, log_w_nu
 # _PLAIN_ITERATIONS turns are plain; their residuals give the plain rate
 # theta = (r_8 / r_4)^(1/4), read after the start-up transient.
 _PLAIN_ITERATIONS = 8
-# Cap on omega, below the divergence edge omega = 2.
-_MAX_OMEGA = 1.9
 # Cap on the first omega - 1, as a share of 1 - theta. The first relaxed
 # turn's residual ratio rises above theta by about 1.6 (omega - 1) (seen on
 # random pairs at eps from 1e-3 to 0.1), so a larger first step is mostly
@@ -381,8 +380,6 @@ _FIRST_SHARE = 0.5
 # Kept relaxed turns between two re-estimates of theta from the relaxed
 # rate (Young's relation); the rate is read over the last four of them.
 _YOUNG_PERIOD = 6
-# A re-estimate raises omega - 1 by at most this factor, for the same reason.
-_MAX_GROWTH = 2.0
 # A rejected turn halves omega - 1; below this the solve turns plain for good.
 # A first omega below it leaves the solve plain, which keeps a fast plain rate
 # plain: the optimal omega is below 1.05 for every theta below about 0.18.
@@ -390,8 +387,8 @@ _MIN_OMEGA = 1.05
 
 
 def _optimal_omega(theta: float) -> float:
-    """omega = 2 / (1 + sqrt(1 - theta)), the optimum for plain rate theta, capped."""
-    return min(_MAX_OMEGA, 2.0 / (1.0 + math.sqrt(1.0 - theta)))
+    """omega = 2 / (1 + sqrt(1 - theta)), the optimum for plain rate theta < 1, below 2."""
+    return 2.0 / (1.0 + math.sqrt(1.0 - theta))
 
 
 def _fixed_point(c_matrix, mu, nu, cfg, start, kappa):
@@ -449,27 +446,24 @@ def _overrelaxed(t_nu, t_mu, cfg, start, kappa):
     Then, if the plain rate theta = (r_8 / r_4)^(1/4) is below 1, omega =
     2 / (1 + sqrt(1 - theta)), with omega - 1 capped at _FIRST_SHARE (1 -
     theta); below _MIN_OMEGA the solve stays plain. Every _YOUNG_PERIOD
-    kept relaxed turns, theta is read again from the relaxed rate rho of the
-    last four through Young's relation (rho + omega - 1)^2 = rho omega^2
-    theta, when omega - 1 < rho < 1 (which keeps theta below 1), and omega
-    moves to its optimum, capped at _MAX_OMEGA and at _MAX_GROWTH times the
-    old omega - 1.
+    kept relaxed turns, for the whole solve, theta is read again from the
+    relaxed rate rho of the last four through Young's relation (rho + omega
+    - 1)^2 = rho omega^2 theta, when omega - 1 < rho < 1, and omega moves to
+    its optimum. Then (omega - 1)^2 < omega - 1 < rho, which keeps theta
+    below 1 and so the new omega below 2.
 
     A relaxed turn is kept only if its residual is at most kappa times the
     last kept one. A turn that fails is rejected: the next starts again
     from the last kept pair's plain image with omega - 1 halved (omega is 1
-    for good below _MIN_OMEGA), and once a turn at a re-estimated omega has
-    been rejected, theta is not read again. Plain turns need no test: by
-    the bound above they contract by kappa. So `residuals` holds every kept
-    turn, each at most kappa times the one before, the last one that of the
-    returned pair, and `iterations` counts every turn, rejected ones too.
+    for good below _MIN_OMEGA). Plain turns need no test: by the bound
+    above they contract by kappa. So `residuals` holds every kept turn, each
+    at most kappa times the one before, the last one that of the returned
+    pair, and `iterations` counts every turn, rejected ones too.
     """
     residuals = []
     phi = image = None
     psi = start
     omega, relaxed_turns = 1.0, 0
-    # re-estimates stop once a turn at a re-estimated omega is rejected
-    grow, reestimated = True, False
     for iterations in range(1, cfg.max_iter + 1):
         phi_new = t_nu(psi)
         if omega > 1.0:
@@ -484,7 +478,7 @@ def _overrelaxed(t_nu, t_mu, cfg, start, kappa):
                 omega = 1.0 + 0.5 * (omega - 1.0)
                 if omega < _MIN_OMEGA:
                     omega = 1.0
-                relaxed_turns, grow = 0, grow and not reestimated
+                relaxed_turns = 0
                 continue
             psi = psi + omega * (image_new - psi)
             relaxed_turns += 1
@@ -500,13 +494,12 @@ def _overrelaxed(t_nu, t_mu, cfg, start, kappa):
                 first = min(_optimal_omega(theta), 1.0 + _FIRST_SHARE * (1.0 - theta))
                 if first >= _MIN_OMEGA:
                     omega = first
-        elif grow and relaxed_turns == _YOUNG_PERIOD:
+        elif relaxed_turns == _YOUNG_PERIOD:
             relaxed_turns = 0
             rho = (residuals[-1] / residuals[-5]) ** 0.25
             if omega - 1.0 < rho < 1.0:
                 theta = (rho + omega - 1.0) ** 2 / (rho * omega ** 2)
-                omega = min(_optimal_omega(theta), 1.0 + _MAX_GROWTH * (omega - 1.0))
-                reestimated = True
+                omega = _optimal_omega(theta)
     return phi, image, iterations, residuals, residuals[-1] <= cfg.tol, omega
 
 
@@ -530,12 +523,14 @@ def solve(
     """Run the Sinkhorn fixed-point iteration to the oscillation-norm tolerance.
 
     A cross problem alternates phi <- T_nu(psi), psi <- T_mu(phi) from psi =
-    0 (or psi0), over-relaxed after 8 plain turns while a safeguard accepts
-    it (_overrelaxed): omega, the relaxation factor it ended with, is kept
-    as SinkhornSolution.omega. The stopping rule reads the plain map's update
-    osc(T_mu(phi) - psi), plus, on a relaxed turn, (omega - 1) times the row
-    step, so it bounds the row defect osc(T_nu(psi) - phi) of the returned
-    plain image (phi, T_mu(phi)) at every omega. `iterations` counts every
+    0 (or psi0), over-relaxed after 8 plain turns with omega read from the
+    residual rate, and re-read every 6 kept relaxed turns, while each
+    relaxed turn's residual contracts by kappa (_overrelaxed): omega, the
+    relaxation factor it ended with, is kept as SinkhornSolution.omega.
+    The stopping rule reads the plain map's update osc(T_mu(phi) - psi),
+    plus, on a relaxed turn, (omega - 1) times the row step, so it bounds
+    the row defect osc(T_nu(psi) - phi) of the returned plain image (phi,
+    T_mu(phi)) at every omega. `iterations` counts every
     loop turn, rejected relaxed turns included, while residual_history holds
     every kept turn, each residual at most kappa times the one before, and
     final_residual is that of the returned pair. A self problem (nu

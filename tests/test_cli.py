@@ -235,6 +235,16 @@ def _base_config(tmp_path, command, mu, nu):
     ("compute", 'cost={"variant":"PowerDistance"}', "cost"),
     ("compute", "cost=5", "cost"),
     ("potentials", 'cost={"variant":"NegatedKernel","params":{}}', "cost"),
+    # kernel and cost parameters must be finite (JSON reads 1e400 as infinity)
+    ("compute", 'cost={"variant":"PowerDistance","params":{"p":NaN}}', "cost"),
+    ("compute", 'cost={"variant":"PowerDistance","params":{"p":1e400}}', "cost"),
+    ("compute", 'cost={"variant":"NegatedKernel","params":{"kernel":'
+                '{"variant":"Gaussian","params":{"c":NaN}}}}', "cost"),
+    ("compute", 'cost={"variant":"NegatedKernel","params":{"kernel":'
+                '{"variant":"WendlandPower","params":{"p":1e400}}}}', "cost"),
+    # a spectral kernel needs at least alpha_0
+    ("compute", 'cost={"variant":"NegatedKernel","params":{"kernel":'
+                '{"variant":"SpectralKernel","params":{"alpha":[]}}}}', "cost"),
     # potentials are always normalized, so the old switch is an unknown key
     ("compute", "normalize=1", "normalize"),
     # float() would read true as 1 and false as 0

@@ -508,6 +508,29 @@ def test_pairwise_distances_bitwise_tensor_formula_and_transpose(d):
     assert np.array_equal(dist, tensor)
     assert np.array_equal(pairwise_distances(ys, xs).T, dist)
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("build, name", [
+    (lambda box, v: Gaussian(box, c=v), "c"),
+    (lambda box, v: InverseMultiquadric(box, c=v), "c"),
+    (lambda box, v: InverseMultiquadric(box, p=v), "p"),
+    (lambda box, v: WendlandPower(box, p=v), "p"),
+    (lambda box, v: ShiftedNegativeDistance(box, C=v), "C"),
+    (lambda box, v: SmoothedNegativeDistance(box, c=v), "c"),
+    (lambda box, v: PowerDistance(box, p=v), "p"),
+    (lambda box, v: CpdShifted(NegativeDistance(box), anchor=[0.5, v]), "anchor"),
+    (lambda box, v: SpectralKernel([1.0, v]), "alpha"),
+], ids=["Gaussian.c", "InverseMultiquadric.c", "InverseMultiquadric.p", "WendlandPower.p",
+        "ShiftedNegativeDistance.C", "SmoothedNegativeDistance.c", "PowerDistance.p",
+        "CpdShifted.anchor", "SpectralKernel.alpha"])
+def test_non_finite_parameter_raises_naming_it(unit_square, build, name, value):
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        build(unit_square, value)
+
+@pytest.mark.parametrize("alpha", [[], [[1.0, 0.5]], 1.0], ids=["empty", "2-D", "scalar"])
+def test_spectral_kernel_rejects_malformed_alpha(alpha):
+    with pytest.raises(ValueError, match=r"\balpha\b"):
+        SpectralKernel(alpha)
+
 def test_wendland_dimension_guard():
     box = BoundingBox(np.zeros(4), np.ones(4))
     with pytest.raises(ValueError):

@@ -5,14 +5,21 @@ import numpy as np
 import pytest
 
 from sinkdiv import (
+    AbsDistance,
     BoundingBox,
     DiscreteMeasure,
+    Gaussian,
+    SinkhornConfig,
     dirac,
+    discrepancy,
+    halftoning_energy,
     kl_divergence,
     load_measure,
     product_measure,
     sample_grid_density,
     save_measure,
+    softmin,
+    solve,
     tv_norm,
     uniform,
     validate,
@@ -75,6 +82,21 @@ def test_non_finite_points_and_weights_rejected(points, weights):
         DiscreteMeasure(np.array(points), np.array(weights))
     with pytest.raises(NonFiniteValueError):
         DiscreteMeasure.normalized(np.array(points), np.array(weights))
+
+def _no_atoms():
+    return DiscreteMeasure(np.zeros((0, 2)), np.zeros(0))
+
+@pytest.mark.parametrize("use", [
+    lambda box, other: uniform(np.zeros((0, 2))),
+    lambda box, other: solve(AbsDistance(box), _no_atoms(), other, SinkhornConfig(epsilon=0.1)),
+    lambda box, other: softmin(AbsDistance(box), _no_atoms(), np.zeros(0), 0.1, other.points),
+    lambda box, other: discrepancy(Gaussian(box, c=0.4), other, _no_atoms()),
+    lambda box, other: halftoning_energy(Gaussian(box, c=0.4), other, np.zeros((0, 2))),
+], ids=["uniform", "solve", "softmin", "discrepancy", "halftoning_energy"])
+def test_inputs_with_no_atoms_raise_zero_mass(unit_square, use):
+    other = uniform([[0.2, 0.3], [0.6, 0.5]])
+    with pytest.raises(ZeroMassError):
+        use(unit_square, other)
 
 @pytest.mark.parametrize("lower, upper", [
     ([0.0, 0.0], [math.inf, 1.0]),

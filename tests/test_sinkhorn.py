@@ -625,6 +625,17 @@ def test_overrelaxation_cuts_iterations(monkeypatch, unit_square, n, m, eps, sha
     assert sol.iterations <= share * plain.iterations
     assert sol.value == pytest.approx(plain.value, abs=1e-12)
 
+def test_relaxed_solve_moves_omega_to_each_reread_optimum(unit_square):
+    # theta is re-read every _YOUNG_PERIOD kept relaxed turns and omega goes
+    # to its optimum each time; capping each raise of omega - 1 at a factor
+    # of two took 32 turns on this pair
+    rng = np.random.default_rng(7)
+    mu = random_measure(rng, 100, unit_square)
+    nu = random_measure(rng, 100, unit_square)
+    sol = solve(AbsDistance(unit_square), mu, nu, SinkhornConfig(epsilon=0.1))
+    assert sol.converged
+    assert sol.iterations == 29
+
 def _relaxed_pair(seed):
     rng = np.random.default_rng(seed)
     dim = 1 + seed % 2
