@@ -39,6 +39,10 @@ _COMPUTE_KINDS = {"ot_exact", "ot_eps", "s_eps", "discrepancy", "s_inf"}
 # allowed keys per command; unknown keys are rejected before any computation
 _PAIR = {"mu", "nu", "box", "cost"}
 _SOLVER = {f.name for f in fields(SinkhornConfig)}
+# keys that name a file to read or write: open() would take an integer for a
+# file descriptor and close it, so each must be a string before any is opened
+_PATH_KEYS = {"mu", "nu", "target", "output", "output_positions", "output_trace",
+              "output_phi", "output_psi", "output_diff", "output_witness"}
 _SCHEMAS = {
     "compute": _PAIR | _SOLVER | {"kind", "kernel", "output"},
     "sweep": _PAIR | (_SOLVER - {"epsilon"}) | {"epsilons", "output"},
@@ -83,10 +87,13 @@ def _load_config(args, command: str) -> dict:
 
 
 def _validate_keys(command: str, config: dict):
+    """ConfigError for a key the command does not take or a path key that is not a string."""
     allowed = _SCHEMAS[command]
-    for key in config:
+    for key, value in config.items():
         if key not in allowed:
             raise ConfigError(f"unknown config key {key!r} for command {command!r}")
+        if key in _PATH_KEYS and not isinstance(value, str):
+            raise ConfigError(f"invalid {key!r}: {value!r} is not a path")
 
 
 def _require(config: dict, key: str):
@@ -293,7 +300,10 @@ def cmd_potentials(config: dict, allow_partial: bool) -> int:
     # the grid includes both endpoints of each axis
     if per_axis < 2:
         raise ConfigError(f"invalid 'grid_points_per_axis': {per_axis} is less than 2")
-    grid = box.grid(per_axis)
+    try:
+        grid = box.grid(per_axis)
+    except ValueError as exc:
+        raise ConfigError(f"invalid 'grid_points_per_axis': {exc}") from exc
 
     solution = solve(cost, mu, nu, _dataclass_config(SinkhornConfig, config, epsilon=epsilon))
     status = 0 if solution.converged or allow_partial else 2

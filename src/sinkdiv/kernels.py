@@ -332,11 +332,18 @@ def _plan_contraction(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray) -> np
 # Kernels
 # ---------------------------------------------------------------------------
 
-def _positive(owner: str, name: str, value) -> float:
-    """value as a float; ValueError naming the parameter unless 0 < value < inf."""
+def _positive(owner: str, name: str, value, squared: bool = False) -> float:
+    """value as a float; ValueError naming the parameter unless 0 < value < inf.
+
+    squared, for a parameter the profile uses as its square, also requires 0
+    < value^2 < inf: a square that underflows or overflows gives NaN or
+    infinite kernel values.
+    """
     # written so that NaN fails too
     if not 0 < value < math.inf:
         raise ValueError(f"{owner} requires a finite {name} > 0, got {value!r}")
+    if squared and not 0 < float(value) * float(value) < math.inf:
+        raise ValueError(f"{owner} requires {name}^2 to be finite and > 0, got {name} = {value!r}")
     return float(value)
 
 
@@ -352,7 +359,7 @@ class Gaussian(Kernel):
     variant = "Gaussian"
 
     def __init__(self, box: BoundingBox, c: float = 1.0):
-        self.c = _positive("Gaussian", "c", c)
+        self.c = _positive("Gaussian", "c", c, squared=True)
         super().__init__(box)
 
     def _profile(self, r):
@@ -375,7 +382,7 @@ class InverseMultiquadric(Kernel):
     variant = "InverseMultiquadric"
 
     def __init__(self, box: BoundingBox, c: float = 1.0, p: float = 0.5):
-        self.c = _positive("InverseMultiquadric", "c", c)
+        self.c = _positive("InverseMultiquadric", "c", c, squared=True)
         self.p = _positive("InverseMultiquadric", "p", p)
         super().__init__(box)
 
@@ -460,7 +467,7 @@ class SmoothedNegativeDistance(Kernel):
     variant = "SmoothedNegativeDistance"
 
     def __init__(self, box: BoundingBox, c: float = 1e-2):
-        self.c = _positive("SmoothedNegativeDistance", "c", c)
+        self.c = _positive("SmoothedNegativeDistance", "c", c, squared=True)
         super().__init__(box)
 
     def _profile(self, r):

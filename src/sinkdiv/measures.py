@@ -96,8 +96,12 @@ class BoundingBox:
     def grid(self, n_per_axis: int) -> np.ndarray:
         """Regular grid with n_per_axis nodes per axis, endpoints included.
 
-        Rows are ordered row-major (first axis outermost).
+        Rows are ordered row-major (first axis outermost). A grid past the
+        largest array numpy can index raises ValueError (numpy's own errors
+        for such sizes vary with the size).
         """
+        if int(n_per_axis) ** self.dim * self.dim > np.iinfo(np.intp).max // 8:
+            raise ValueError(f"a grid of {n_per_axis}^{self.dim} points exceeds the largest array")
         axes = [np.linspace(self.lower[k], self.upper[k], n_per_axis) for k in range(self.dim)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)

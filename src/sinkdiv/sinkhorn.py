@@ -1,22 +1,18 @@
 """Sinkhorn solver for entropically regularized optimal transport.
 
-The softmin half-step, one solve (a fixed-point loop, a safeguarded
-over-relaxed alternation for a cross problem and an averaged update for a
-self problem, with an oscillation-norm stopping rule; at epsilon = inf one
+The softmin half-step, one solve (a safeguarded Anderson-accelerated
+fixed-point loop with an oscillation-norm stopping rule; at epsilon = inf one
 exact closed-form alternation, whose value is the dual value as at every
 epsilon), value/plan/gap extraction and contraction diagnostics. All
 exponentials are max-shifted; nothing overflows at either extreme of the
 regularization parameter.
 
-A cross solve alternates plainly for 8 turns, then over-relaxes both
-half-steps, phi <- (1 - omega) phi + omega T_nu(psi) and the same for psi,
-with omega taken from the observed residual rate and re-read from the
-relaxed rate for the whole solve (Thibault, Chizat, Dossal & Papadakis 2021,
-Algorithms 14(5); Lehmann, von Renesse, Sambale & Uschmajew 2022, Optim.
-Lett.). A relaxed turn's residual bounds the kept pair's distance from a
-fixed point as the plain update does, and the turn is kept only while that
-residual contracts by kappa, as plain alternation is proven to; the rule is
-in _overrelaxed.
+A solve iterates F(psi) = T_mu(T_nu(psi)) for a cross problem and F(psi) =
+(psi + T_nu(psi)) / 2 for a self problem: 8 plain turns, then Anderson
+extrapolation from the last few turns (Walker & Ni 2011, SIAM J. Numer.
+Anal. 49), each extrapolated point kept only while its residual contracts as
+the plain step is proven to, and the plain step taken otherwise (Zhang,
+O'Donoghue & Boyd 2020, SIAM J. Optim. 30). The rule is in _fixed_point.
 
 Potentials, unique only up to (phi + c, psi - c), always carry the
 normalization sum_i phi_i mu_i = OT_inf / 2, so potentials at different
@@ -78,9 +74,8 @@ class SinkhornConfig:
     """Solver configuration.
 
     epsilon may be math.inf, the independent-coupling limit. tol bounds the
-    oscillation norm (half of max minus min) of the last update of the
-    second potential, plus, after an over-relaxed turn, the part of the row
-    step the relaxation carried past the plain one (see solve).
+    oscillation norm (half of max minus min) of the last kept turn's update
+    of the second potential (see solve).
     """
 
     epsilon: float
@@ -127,9 +122,6 @@ class SinkhornSolution:
     `plan` and `duality_gap` are built on first access, together, from the
     potentials and cost_matrix, the cost matrix the solve built and ran on
     (at epsilon = inf the plan is the independent coupling and the gap 0).
-    omega is the relaxation factor the solve ended with: 1 for a self
-    problem, at epsilon = inf and for a cross solve that never relaxed. It
-    is not among the diagnostics.
     """
 
     potentials: PotentialPair
@@ -142,7 +134,6 @@ class SinkhornSolution:
     nu: DiscreteMeasure = field(repr=False)
     cost_matrix: np.ndarray = field(repr=False)
     residual_history: np.ndarray = field(repr=False)
-    omega: float
 
     @cached_property
     def _extraction(self) -> tuple[TransportPlan, float]:
@@ -367,140 +358,103 @@ def _half_steps(k_matrix: np.ndarray, eps: float, log_w_mu: np.ndarray, log_w_nu
     return t_nu, t_mu
 
 
-# Over-relaxation of a cross solve (Thibault, Chizat, Dossal & Papadakis
-# 2021; Lehmann, von Renesse, Sambale & Uschmajew 2022). The first
-# _PLAIN_ITERATIONS turns are plain; their residuals give the plain rate
-# theta = (r_8 / r_4)^(1/4), read after the start-up transient.
+# The first turns are plain, bit for bit as a plain loop: extrapolating from
+# the start-up transient gains little, and short solves (warm starts, fast
+# rates at large epsilon) end within them with no extrapolation to pay for.
 _PLAIN_ITERATIONS = 8
-# Cap on the first omega - 1, as a share of 1 - theta. The first relaxed
-# turn's residual ratio rises above theta by about 1.6 (omega - 1) (seen on
-# random pairs at eps from 1e-3 to 0.1), so a larger first step is mostly
-# rejected, and near theta = 1 the cap keeps omega plain.
-_FIRST_SHARE = 0.5
-# Kept relaxed turns between two re-estimates of theta from the relaxed
-# rate (Young's relation); the rate is read over the last four of them.
-_YOUNG_PERIOD = 6
-# A rejected turn halves omega - 1; below this the solve turns plain for good.
-# A first omega below it leaves the solve plain, which keeps a fast plain rate
-# plain: the optimal omega is below 1.05 for every theta below about 0.18.
-_MIN_OMEGA = 1.05
+# Residual differences one extrapolation combines (the Anderson memory): a few
+# catch the slow modes of the map, and each one more costs a pass over the
+# stored residuals and widens the small least-squares solve.
+_MEMORY = 5
+# A newest residual difference below this share of the residual is rounding
+# noise: the residual has stalled (at kappa ~ 1 it can stay within an ulp of
+# itself for dozens of turns), so the turn is plain and the memory keeps only
+# its newest turn.
+_PLATEAU = 1e-6
+# Tikhonov term of the least-squares solve, as a share of trace(dR^T dR) +
+# |r|^2: it keeps the Gram matrix regular when the differences are nearly
+# dependent, and bounds the coefficients, so that no noise direction carries
+# the extrapolated point.
+_TIKHONOV = 1e-6
 
 
-def _optimal_omega(theta: float) -> float:
-    """omega = 2 / (1 + sqrt(1 - theta)), the optimum for plain rate theta < 1, below 2."""
-    return 2.0 / (1.0 + math.sqrt(1.0 - theta))
+def _extrapolate(images: list, deltas: list):
+    """The type-II Anderson point from the kept turns' images F(psi_k) and residuals, or None.
+
+    deltas holds the residuals F(psi_k) - psi_k with their means removed, as
+    potentials are defined up to a constant. The coefficients gamma minimize
+    |r - dR gamma| over the residual differences dR (Tikhonov-regularized),
+    and the point is F(psi) - dF gamma (Walker & Ni 2011, SIAM J. Numer.
+    Anal. 49). None, for a memory of one turn or a stalled residual, means
+    the plain step.
+    """
+    if len(deltas) < 2:
+        return None
+    r = deltas[-1]
+    newest = r - deltas[-2]
+    r_sq = r @ r
+    if newest @ newest <= _PLATEAU ** 2 * r_sq:
+        return None
+    d_r = np.diff(deltas, axis=0)
+    gram = d_r @ d_r.T
+    gram.flat[::len(gram) + 1] += _TIKHONOV * (gram.trace() + r_sq)
+    gamma = np.linalg.solve(gram, d_r @ r)
+    return images[-1] - gamma @ np.diff(images, axis=0)
 
 
 def _fixed_point(c_matrix, mu, nu, cfg, start, kappa):
-    """Iterate from psi = start; returns phi, psi, iterations, residuals, converged, omega.
+    """Safeguarded Anderson iteration from psi = start; returns phi, psi, iterations, residuals, converged.
 
-    K and whatever the half-steps build from it live only in this frame, so
-    they are released before any plan is extracted. A self problem runs
-    _averaged, a cross problem _overrelaxed, whose safeguard reads kappa,
-    the solution's contraction factor.
+    The rule is set out in solve. Each turn evaluates F at a trial point: the
+    plain image of the last kept turn for the first _PLAIN_ITERATIONS turns,
+    then the extrapolation from the last _MEMORY + 1 kept turns
+    (_extrapolate). kappa bounds t_nu and t_mu alike, so a plain turn
+    contracts the residual by rate, kappa for a cross and (1 + kappa) / 2
+    for a self problem. An extrapolated trial whose residual exceeds rate
+    times the last kept one is rejected: the memory is cleared and the next
+    trial is the last kept turn's plain image. K and whatever the half-steps
+    build from it live only in this frame, so they are released before any
+    plan is extracted.
     """
     # K is C-contiguous, as _half_steps needs, whatever the layout of C
     t_nu, t_mu = _half_steps(np.divide(c_matrix, -cfg.epsilon, order="C"), cfg.epsilon,
                              _log_weights(mu.weights), _log_weights(nu.weights))
-    if _is_self_problem(mu, nu):
-        return _averaged(t_nu, t_mu, cfg, start)
-    return _overrelaxed(t_nu, t_mu, cfg, start, kappa)
+    self_problem = _is_self_problem(mu, nu)
+    rate = 0.5 * (1.0 + kappa) if self_problem else kappa
 
-
-def _averaged(t_nu, t_mu, cfg, start):
-    """psi <- (psi + t_nu(psi)) / 2 until the update is within tol, then psi = t_mu(phi).
-
-    Ending on a plain half-step makes the value the semi-dual of phi, as for
-    a cross problem. omega is 1: this update is never over-relaxed.
-    """
-    # SinkhornConfig keeps max_iter >= 1, so the loop binds iterations and phi
-    residuals = []
-    psi = start
-    for iterations in range(1, cfg.max_iter + 1):
+    def step(psi):
         phi = t_nu(psi)
-        psi_new = 0.5 * (psi + phi)
-        residuals.append(_oscillation(psi_new - psi))
-        psi = psi_new
-        if residuals[-1] <= cfg.tol:
-            break
-    return phi, t_mu(phi), iterations, residuals, residuals[-1] <= cfg.tol, 1.0
+        return phi, 0.5 * (psi + phi) if self_problem else t_mu(phi)
 
-
-def _overrelaxed(t_nu, t_mu, cfg, start, kappa):
-    """Safeguarded over-relaxed alternation from psi = start.
-
-    Each turn takes phi <- phi + omega (t_nu(psi) - phi), then psi <- psi +
-    omega (t_mu(phi) - psi), and keeps the pair (phi, t_mu(phi)), the plain
-    image, which the solve returns: the value is the semi-dual of phi, as
-    with plain alternation. A turn's residual is the plain map's update
-    osc(t_mu(phi) - psi) plus (omega - 1) osc(t_nu(psi) - phi_prev), the
-    part of the row step that omega carried past t_nu(psi). t_nu contracts
-    the oscillation by kappa <= 1, so the residual bounds the row defect
-    osc(t_nu(t_mu(phi)) - phi) of the kept pair, as the plain update does at
-    omega = 1. Hence stopping on it (residual within tol) leaves the
-    returned pair as close to a fixed point as plain alternation does, and a
-    plain turn from a kept pair's image has a residual at most kappa times
-    that pair's.
-
-    The first _PLAIN_ITERATIONS turns are plain alternation, bit for bit.
-    Then, if the plain rate theta = (r_8 / r_4)^(1/4) is below 1, omega =
-    2 / (1 + sqrt(1 - theta)), with omega - 1 capped at _FIRST_SHARE (1 -
-    theta); below _MIN_OMEGA the solve stays plain. Every _YOUNG_PERIOD
-    kept relaxed turns, for the whole solve, theta is read again from the
-    relaxed rate rho of the last four through Young's relation (rho + omega
-    - 1)^2 = rho omega^2 theta, when omega - 1 < rho < 1, and omega moves to
-    its optimum. Then (omega - 1)^2 < omega - 1 < rho, which keeps theta
-    below 1 and so the new omega below 2.
-
-    A relaxed turn is kept only if its residual is at most kappa times the
-    last kept one. A turn that fails is rejected: the next starts again
-    from the last kept pair's plain image with omega - 1 halved (omega is 1
-    for good below _MIN_OMEGA). Plain turns need no test: by the bound
-    above they contract by kappa. So `residuals` holds every kept turn, each
-    at most kappa times the one before, the last one that of the returned
-    pair, and `iterations` counts every turn, rejected ones too.
-    """
-    residuals = []
-    phi = image = None
-    psi = start
-    omega, relaxed_turns = 1.0, 0
+    # SinkhornConfig keeps max_iter >= 1, and the first turn is plain and
+    # kept, so the loop binds iterations, phi and image
+    residuals, images, deltas = [], [], []
+    trial, extrapolated = start, False
     for iterations in range(1, cfg.max_iter + 1):
-        phi_new = t_nu(psi)
-        if omega > 1.0:
-            step = phi_new - phi
-            phi_new = phi + omega * step
-        image_new = t_mu(phi_new)
-        res = _oscillation(image_new - psi)
-        if omega > 1.0:
-            res += (omega - 1.0) * _oscillation(step)
-            if res > kappa * residuals[-1]:
-                psi = image
-                omega = 1.0 + 0.5 * (omega - 1.0)
-                if omega < _MIN_OMEGA:
-                    omega = 1.0
-                relaxed_turns = 0
-                continue
-            psi = psi + omega * (image_new - psi)
-            relaxed_turns += 1
-        else:
-            psi = image_new
+        phi_new, image_new = step(trial)
+        delta = image_new - trial
+        res = _oscillation(delta)
+        if extrapolated and res > rate * residuals[-1]:
+            images.clear()
+            deltas.clear()
+            trial, extrapolated = image, False
+            continue
         phi, image = phi_new, image_new
         residuals.append(res)
         if res <= cfg.tol:
             break
-        if iterations == _PLAIN_ITERATIONS:
-            theta = (residuals[-1] / residuals[-5]) ** 0.25
-            if theta < 1.0:
-                first = min(_optimal_omega(theta), 1.0 + _FIRST_SHARE * (1.0 - theta))
-                if first >= _MIN_OMEGA:
-                    omega = first
-        elif relaxed_turns == _YOUNG_PERIOD:
-            relaxed_turns = 0
-            rho = (residuals[-1] / residuals[-5]) ** 0.25
-            if omega - 1.0 < rho < 1.0:
-                theta = (rho + omega - 1.0) ** 2 / (rho * omega ** 2)
-                omega = _optimal_omega(theta)
-    return phi, image, iterations, residuals, residuals[-1] <= cfg.tol, omega
+        images.append(image)
+        deltas.append(delta - delta.sum() / delta.size)
+        del images[:-_MEMORY - 1], deltas[:-_MEMORY - 1]
+        trial, extrapolated = image, False
+        if iterations >= _PLAIN_ITERATIONS:
+            point = _extrapolate(images, deltas)
+            if point is None:
+                del images[:-1], deltas[:-1]
+            else:
+                trial, extrapolated = point, True
+    psi = t_mu(phi) if self_problem else image
+    return phi, psi, iterations, residuals, residuals[-1] <= cfg.tol
 
 
 def _finite_vector(values, size: int, name: str) -> np.ndarray:
@@ -522,32 +476,30 @@ def solve(
 ) -> SinkhornSolution:
     """Run the Sinkhorn fixed-point iteration to the oscillation-norm tolerance.
 
-    A cross problem alternates phi <- T_nu(psi), psi <- T_mu(phi) from psi =
-    0 (or psi0), over-relaxed after 8 plain turns with omega read from the
-    residual rate, and re-read every 6 kept relaxed turns, while each
-    relaxed turn's residual contracts by kappa (_overrelaxed): omega, the
-    relaxation factor it ended with, is kept as SinkhornSolution.omega.
-    The stopping rule reads the plain map's update osc(T_mu(phi) - psi),
-    plus, on a relaxed turn, (omega - 1) times the row step, so it bounds
-    the row defect osc(T_nu(psi) - phi) of the returned plain image (phi,
-    T_mu(phi)) at every omega. `iterations` counts every
-    loop turn, rejected relaxed turns included, while residual_history holds
-    every kept turn, each residual at most kappa times the one before, and
-    final_residual is that of the returned pair. A self problem (nu
-    identical to mu), whose plain alternation can oscillate between two
-    symmetric potentials, averages instead: psi <- (psi + phi) / 2 (Feydy et
-    al. 2019), never relaxed. It ends on one plain half-step psi =
-    T_mu(phi), so its value <phi, mu> + <psi, mu> is the semi-dual of phi,
-    as for a cross problem: stationary at the fixed point, so second order
-    in the remaining defect. Hitting max_iter returns the last kept iterate
-    flagged converged=False rather than aborting. The potentials are
-    shifted by opposite constants so that sum_i phi_i mu_i is half the
+    A cross problem iterates F(psi) = T_mu(T_nu(psi)) from psi = 0 (or
+    psi0); a self problem (nu identical to mu), whose plain alternation can
+    oscillate between two symmetric potentials, iterates the averaged map
+    F(psi) = (psi + T_nu(psi)) / 2 (Feydy et al. 2019). The first 8 turns
+    are plain, psi <- F(psi); after them each turn tries an Anderson
+    extrapolation, kept only if its residual osc(F(psi) - psi) is at most
+    kappa (a cross problem) or (1 + kappa) / 2 (a self problem) times the
+    last kept one, else the solve takes the plain step (_fixed_point). The
+    stopping rule reads that residual. The returned pair is the last kept
+    turn's phi = T_nu(psi) and psi' = T_mu(phi), so its row defect
+    osc(T_nu(psi') - phi) is at most kappa tol for a cross problem, and the
+    value <phi, mu> + <psi', nu> is the semi-dual of phi: stationary at the
+    fixed point, so second order in the remaining defect. `iterations`
+    counts every evaluation of F, rejected extrapolations included, while
+    residual_history holds every kept turn, and final_residual is that of
+    the returned pair. Hitting max_iter returns the last kept turn flagged
+    converged=False rather than aborting. The potentials are shifted by
+    opposite constants so that sum_i phi_i mu_i is half the
     independent-coupling cost, which leaves the value and the plan
     unchanged.
 
     epsilon = math.inf is the closed-form step: the limit half-steps average c
     against the other measure, so one alternation from psi = 0 is exact (phi
-    = C w_nu, psi = C^T w_mu - <phi, mu>; no iteration, kappa = 0, omega = 1,
+    = C w_nu, psi = C^T w_mu - <phi, mu>; no iteration, kappa = 0,
     the independent coupling as the plan), and the value is the dual value.
     psi0 has no effect there; at any epsilon, one that is not a finite vector
     of length len(nu) raises.
@@ -567,9 +519,9 @@ def solve(
     if math.isinf(eps):
         phi = row_avg
         psi = c_matrix.T @ w_mu - float(phi @ w_mu)
-        iterations, residuals, converged, omega = 0, [], True, 1.0
+        iterations, residuals, converged = 0, [], True
     else:
-        phi, psi, iterations, residuals, converged, omega = _fixed_point(
+        phi, psi, iterations, residuals, converged = _fixed_point(
             c_matrix, mu, nu, cfg, start, kappa)
 
     delta = half_ot - float(phi @ w_mu)
@@ -587,7 +539,6 @@ def solve(
         nu=nu,
         cost_matrix=c_matrix,
         residual_history=np.array(residuals),
-        omega=omega,
     )
 
 

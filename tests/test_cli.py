@@ -226,6 +226,9 @@ def _base_config(tmp_path, command, mu, nu):
     ("potentials", "grid_points_per_axis=-1", "grid_points_per_axis"),
     ("potentials", "grid_points_per_axis=0", "grid_points_per_axis"),
     ("potentials", "grid_points_per_axis=1", "grid_points_per_axis"),
+    # grids past the largest array numpy can index
+    ("potentials", "grid_points_per_axis=1e30", "grid_points_per_axis"),
+    ("potentials", f"grid_points_per_axis={2**63}", "grid_points_per_axis"),
     ("compute", "kind=[1]", "kind"),
     ("sweep", "epsilons=[1.0,0.5]", "epsilons"),
     ("sweep", "epsilons=abc", "epsilons"),
@@ -242,6 +245,13 @@ def _base_config(tmp_path, command, mu, nu):
                 '{"variant":"Gaussian","params":{"c":NaN}}}}', "cost"),
     ("compute", 'cost={"variant":"NegatedKernel","params":{"kernel":'
                 '{"variant":"WendlandPower","params":{"p":1e400}}}}', "cost"),
+    # widths whose square underflows to 0 or overflows (the value was NaN)
+    ("compute", 'cost={"variant":"NegatedKernel","params":{"kernel":'
+                '{"variant":"Gaussian","params":{"c":1e-300}}}}', "cost"),
+    ("compute", 'cost={"variant":"NegatedKernel","params":{"kernel":'
+                '{"variant":"Gaussian","params":{"c":1e200}}}}', "cost"),
+    ("compute", 'cost={"variant":"NegatedKernel","params":{"kernel":'
+                '{"variant":"InverseMultiquadric","params":{"c":1e-300}}}}', "cost"),
     # a spectral kernel needs at least alpha_0
     ("compute", 'cost={"variant":"NegatedKernel","params":{"kernel":'
                 '{"variant":"SpectralKernel","params":{"alpha":[]}}}}', "cost"),
@@ -357,6 +367,26 @@ def test_kernel_spec_error_names_key(tmp_path, toy_files, capsys):
     })
     assert main(["compute", "--config", str(cfg)]) == 1
     assert "'kernel'" in capsys.readouterr().err
+
+_PATH_KEY_CASES = [("compute", key) for key in ("mu", "nu", "output")] + [
+    ("dither", key) for key in ("target", "output_positions", "output_trace")] + [
+    ("potentials", key) for key in ("output_phi", "output_psi", "output_diff", "output_witness")]
+
+
+# no boolean or small integer: open() would take it for an open file
+# descriptor of the test process and close it
+@pytest.mark.filterwarnings("ignore:target has:UserWarning")
+@pytest.mark.parametrize("value", ["987654", "-1", "1.5", "[1]", "null", '{"a":1}'])
+@pytest.mark.parametrize("command, key", _PATH_KEY_CASES, ids=[key for _, key in _PATH_KEY_CASES])
+def test_non_string_path_key_exits_one_naming_key(tmp_path, toy_files, capsys, command, key,
+                                                  value):
+    mu, nu = toy_files
+    cfg = write_config(tmp_path, _base_config(tmp_path, command, mu, nu))
+    assert main([command, "--config", str(cfg), "--set", f"{key}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"'{key}'" in err
+    # checked before anything is read or written
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "mu.txt", "nu.txt"]
 
 def test_base_configs_of_bad_value_cases_run(tmp_path, toy_files, capsys):
     # the bad-value cases above fail because of their override alone

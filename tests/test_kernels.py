@@ -526,6 +526,18 @@ def test_non_finite_parameter_raises_naming_it(unit_square, build, name, value):
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         build(unit_square, value)
 
+@pytest.mark.parametrize("value", [1e-300, 1e200])
+@pytest.mark.parametrize("build", [
+    lambda box, v: Gaussian(box, c=v),
+    lambda box, v: InverseMultiquadric(box, c=v),
+    lambda box, v: SmoothedNegativeDistance(box, c=v),
+], ids=["Gaussian", "InverseMultiquadric", "SmoothedNegativeDistance"])
+def test_width_whose_square_underflows_or_overflows_raises_naming_it(unit_square, build, value):
+    # each profile uses c^2: 1e-300^2 is 0 and 1e200^2 is inf, which give NaN
+    # or infinite kernel values
+    with pytest.raises(ValueError, match=r"\bc\^2"):
+        build(unit_square, value)
+
 @pytest.mark.parametrize("alpha", [[], [[1.0, 0.5]], 1.0], ids=["empty", "2-D", "scalar"])
 def test_spectral_kernel_rejects_malformed_alpha(alpha):
     with pytest.raises(ValueError, match=r"\balpha\b"):

@@ -15,6 +15,7 @@ from sinkdiv import (
     NegatedKernel,
     PowerDistance,
     SinkhornConfig,
+    exact_ot,
     ot_infinity,
     s_infinity,
     sinkhorn_divergence,
@@ -138,6 +139,24 @@ def test_finite_epsilon_self_problem_matches_permuted_copies(problem, eps, data)
     assume(first.converged and other.converged)
     assert other.ot_mu_nu == pytest.approx(first.ot_mu_nu, abs=1e-12)
     assert other.s_eps == pytest.approx(first.s_eps, abs=1e-12)
+
+
+def entropy(m: DiscreteMeasure) -> float:
+    """Shannon entropy of the weights."""
+    return float(-m.weights @ np.log(m.weights))
+
+
+@FINITE
+@given(problems(cost_names=("abs", "power2")), EPSILONS)
+def test_finite_epsilon_value_within_entropy_sandwich(problem, eps):
+    # OT_eps = min <C, P> + eps KL(P | mu x nu), and KL(P* | mu x nu) is a
+    # mutual information, at most either marginal's entropy, so OT_eps tends
+    # to OT_0 from above at rate eps
+    cost, mu, nu = problem
+    sol = solve(cost, mu, nu, SinkhornConfig(epsilon=eps))
+    assume(sol.converged)
+    ot_0 = exact_ot(cost, mu, nu).value
+    assert ot_0 - 1e-9 <= sol.value <= ot_0 + eps * min(entropy(mu), entropy(nu)) + 1e-9
 
 
 @FINITE
