@@ -12,7 +12,9 @@ A solve iterates F(psi) = T_mu(T_nu(psi)) for a cross problem and F(psi) =
 extrapolation from the last few turns (Walker & Ni 2011, SIAM J. Numer.
 Anal. 49), each extrapolated point kept only while its residual contracts as
 the plain step is proven to, and the plain step taken otherwise (Zhang,
-O'Donoghue & Boyd 2020, SIAM J. Optim. 30). The rule is in _fixed_point.
+O'Donoghue & Boyd 2020, SIAM J. Optim. 30). A cross solve stops only once
+its value is also certified within tol of OT_eps. The rule is in
+_fixed_point.
 
 Potentials, unique only up to (phi + c, psi - c), always carry the
 normalization sum_i phi_i mu_i = OT_inf / 2, so potentials at different
@@ -75,7 +77,8 @@ class SinkhornConfig:
 
     epsilon may be math.inf, the independent-coupling limit. tol bounds the
     oscillation norm (half of max minus min) of the last kept turn's update
-    of the second potential (see solve).
+    of the second potential and, for a cross problem, the certified gap
+    between the value and OT_eps (see solve).
     """
 
     epsilon: float
@@ -302,7 +305,7 @@ def _is_self_problem(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
 
 
 def _half_steps(k_matrix: np.ndarray, eps: float, log_w_mu: np.ndarray, log_w_nu: np.ndarray):
-    """The half-steps t_nu(psi) = phi and t_mu(phi) = psi over K = -C/eps.
+    """The half-steps t_nu(psi) = phi and t_mu(phi) = psi over K = -C/eps, and its span.
 
     Each takes a potential and reduces exp(K + potential/eps + log w) along
     the other measure's axis of K. The span max K - min K picks the form:
@@ -328,7 +331,8 @@ def _half_steps(k_matrix: np.ndarray, eps: float, log_w_mu: np.ndarray, log_w_nu
         return _fill_parts(lambda part: reduce_part((slice(None), part)), cols, cells, m)
 
     k_max = float(np.max(k_matrix))
-    if k_max - float(np.min(k_matrix)) <= _GIBBS_MAX_SPAN:
+    span = k_max - float(np.min(k_matrix))
+    if span <= _GIBBS_MAX_SPAN:
         def to_gibbs(part):
             block = np.subtract(k_matrix[part], k_max, out=k_matrix[part])
             np.exp(block, out=block)
@@ -355,7 +359,7 @@ def _half_steps(k_matrix: np.ndarray, eps: float, log_w_mu: np.ndarray, log_w_nu
     def t_mu(phi):
         return reduce(phi / eps + log_w_mu, axis=0)
 
-    return t_nu, t_mu
+    return t_nu, t_mu, span
 
 
 # The first turns are plain, bit for bit as a plain loop: extrapolating from
@@ -412,15 +416,27 @@ def _fixed_point(c_matrix, mu, nu, cfg, start, kappa):
     contracts the residual by rate, kappa for a cross and (1 + kappa) / 2
     for a self problem. An extrapolated trial whose residual exceeds rate
     times the last kept one is rejected: the memory is cleared and the next
-    trial is the last kept turn's plain image. K and whatever the half-steps
+    trial is the last kept turn's plain image. A self problem stops on the
+    residual alone: its averaged turn builds no pair with one exact
+    marginal whose other marginal comes free. K and whatever the half-steps
     build from it live only in this frame, so they are released before any
     plan is extracted.
     """
+    eps = cfg.epsilon
     # K is C-contiguous, as _half_steps needs, whatever the layout of C
-    t_nu, t_mu = _half_steps(np.divide(c_matrix, -cfg.epsilon, order="C"), cfg.epsilon,
-                             _log_weights(mu.weights), _log_weights(nu.weights))
+    t_nu, t_mu, span = _half_steps(np.divide(c_matrix, -eps, order="C"), eps,
+                                   _log_weights(mu.weights), _log_weights(nu.weights))
     self_problem = _is_self_problem(mu, nu)
     rate = 0.5 * (1.0 + kappa) if self_problem else kappa
+
+    def value_gap(trial, delta):
+        # OT_eps is at most this above the value of (T_nu(trial), trial), so
+        # above the returned pair's: the semi-dual <T_nu(psi), mu> + <psi, nu>
+        # is concave with gradient nu - P^T 1, which sums to 0, its plan's
+        # column sums are P^T 1 = nu exp(-delta / eps), and the fixed point's
+        # psi, a half-step's output, has osc at most half the span of C
+        defect = float(nu.weights @ np.abs(np.expm1(-delta / eps)))
+        return defect * (0.5 * eps * span + _oscillation(trial))
 
     def step(psi):
         phi = t_nu(psi)
@@ -429,7 +445,7 @@ def _fixed_point(c_matrix, mu, nu, cfg, start, kappa):
     # SinkhornConfig keeps max_iter >= 1, and the first turn is plain and
     # kept, so the loop binds iterations, phi and image
     residuals, images, deltas = [], [], []
-    trial, extrapolated = start, False
+    trial, extrapolated, converged = start, False, False
     for iterations in range(1, cfg.max_iter + 1):
         phi_new, image_new = step(trial)
         delta = image_new - trial
@@ -441,7 +457,8 @@ def _fixed_point(c_matrix, mu, nu, cfg, start, kappa):
             continue
         phi, image = phi_new, image_new
         residuals.append(res)
-        if res <= cfg.tol:
+        if res <= cfg.tol and (self_problem or value_gap(trial, delta) <= cfg.tol):
+            converged = True
             break
         images.append(image)
         deltas.append(delta - delta.sum() / delta.size)
@@ -454,7 +471,7 @@ def _fixed_point(c_matrix, mu, nu, cfg, start, kappa):
             else:
                 trial, extrapolated = point, True
     psi = t_mu(phi) if self_problem else image
-    return phi, psi, iterations, residuals, residuals[-1] <= cfg.tol
+    return phi, psi, iterations, residuals, converged
 
 
 def _finite_vector(values, size: int, name: str) -> np.ndarray:
@@ -483,13 +500,15 @@ def solve(
     are plain, psi <- F(psi); after them each turn tries an Anderson
     extrapolation, kept only if its residual osc(F(psi) - psi) is at most
     kappa (a cross problem) or (1 + kappa) / 2 (a self problem) times the
-    last kept one, else the solve takes the plain step (_fixed_point). The
-    stopping rule reads that residual. The returned pair is the last kept
-    turn's phi = T_nu(psi) and psi' = T_mu(phi), so its row defect
-    osc(T_nu(psi') - phi) is at most kappa tol for a cross problem, and the
-    value <phi, mu> + <psi', nu> is the semi-dual of phi: stationary at the
-    fixed point, so second order in the remaining defect. `iterations`
-    counts every evaluation of F, rejected extrapolations included, while
+    last kept one, else the solve takes the plain step (_fixed_point). It
+    stops when that residual is at most tol and, for a cross problem, the
+    value is certified within tol of OT_eps from the column sums of
+    (T_nu(psi), psi): the residual alone leaves a value error of about half
+    of it on a plan split into blocks joined by couplings of order
+    exp(-Delta/eps). The returned pair is the last kept turn's phi =
+    T_nu(psi) and psi' = T_mu(phi), so a cross solve's row defect
+    osc(T_nu(psi') - phi) is at most kappa tol. `iterations` counts every
+    evaluation of F, rejected extrapolations included, while
     residual_history holds every kept turn, and final_residual is that of
     the returned pair. Hitting max_iter returns the last kept turn flagged
     converged=False rather than aborting. The potentials are shifted by

@@ -139,7 +139,7 @@ def test_log_domain_floor_bitwise_equal_unclamped(unit_box):
     nu = DiscreteMeasure(np.concatenate([nu.points[:-1], [[1.0]]]), nu.weights)
     k_matrix = AbsDistance(unit_box).matrix(mu.points, nu.points) / -eps
     log_w_mu, log_w_nu = _log_weights(mu.weights), _log_weights(nu.weights)
-    t_nu, t_mu = _half_steps(k_matrix.copy(), eps, log_w_mu, log_w_nu)
+    t_nu, t_mu, _ = _half_steps(k_matrix.copy(), eps, log_w_mu, log_w_nu)
     phi, psi = rng.random(40) - 0.5, rng.random(30) - 0.5
     for half_step, potential, log_w, axis in [(t_nu, psi, log_w_nu, 1), (t_mu, phi, log_w_mu, 0)]:
         g = potential / eps + log_w
@@ -158,11 +158,11 @@ def _both_half_steps(monkeypatch, c_matrix, eps, log_w_mu, log_w_nu):
     k_matrix = c_matrix / -eps
     assert float(np.max(k_matrix)) - float(np.min(k_matrix)) <= sinkhorn._GIBBS_MAX_SPAN
     k_gibbs = k_matrix.copy()
-    gibbs = _half_steps(k_gibbs, eps, log_w_mu, log_w_nu)
+    gibbs = _half_steps(k_gibbs, eps, log_w_mu, log_w_nu)[:2]
     assert np.max(k_gibbs) == 1.0
     # no span passes the test, so the same K gets the log-domain form
     monkeypatch.setattr(sinkhorn, "_GIBBS_MAX_SPAN", -math.inf)
-    log_domain = _half_steps(k_matrix, eps, log_w_mu, log_w_nu)
+    log_domain = _half_steps(k_matrix, eps, log_w_mu, log_w_nu)[:2]
     assert np.array_equal(k_matrix, c_matrix / -eps)
     return gibbs, log_domain
 
@@ -578,25 +578,30 @@ def _plain_alternation(cost, mu, nu, eps, tol):
 @pytest.mark.parametrize("eps", [1e-3, 0.1])
 def test_self_solve_is_averaged_recursion_ending_on_half_step(unit_box, eps):
     # the averaged update written out with softmin, from psi = 0: the solve's
-    # first _PLAIN_ITERATIONS turns are this recursion, and it ends near the
-    # recursion's fixed point (run here to tol 1e-12)
+    # first _PLAIN_ITERATIONS turns are this recursion, so a solve that ends
+    # within them (eps = 1e-3, 3 turns) returns its iterate, and one that
+    # extrapolates (eps = 0.1, 15 turns) ends near its fixed point
     rng = np.random.default_rng(8)
     cost = AbsDistance(unit_box)
     mu = random_measure(rng, 12, unit_box)
     sol = solve(cost, mu, mu, SinkhornConfig(epsilon=eps))
     assert sol.converged
+    plain = sol.iterations <= sinkhorn._PLAIN_ITERATIONS
+    assert plain == (eps == 1e-3)
     psi, residuals = np.zeros(len(mu)), []
-    while not residuals or residuals[-1] > 1e-12:
+    # as many turns as the solve, and on to tol 1e-12 if it extrapolated
+    while len(residuals) < sol.iterations or not plain and residuals[-1] > 1e-12:
         phi = softmin(cost, mu, psi, eps, mu.points)
         psi_new = 0.5 * (psi + phi)
         residuals.append(0.5 * float(np.max(psi_new - psi) - np.min(psi_new - psi)))
         psi = psi_new
     phi, psi, _ = _normalized(cost, mu, mu, phi, softmin(cost, mu, phi, eps, mu.points))
-    plain = min(sol.iterations, sinkhorn._PLAIN_ITERATIONS)
-    assert np.max(np.abs(sol.residual_history[:plain] - residuals[:plain])) <= 1e-12
-    # 8.9e-11 (eps = 1e-3, 3 turns) and 1.7e-11 (eps = 0.1, 15 turns) apart
-    assert np.max(np.abs(sol.potentials.phi - phi)) <= 1e-9
-    assert np.max(np.abs(sol.potentials.psi - psi)) <= 1e-9
+    first = min(sol.iterations, sinkhorn._PLAIN_ITERATIONS)
+    assert np.max(np.abs(sol.residual_history[:first] - residuals[:first])) <= 1e-12
+    # the extrapolating solve is 1.7e-11 from the recursion run to tol 1e-12
+    close = 1e-12 if plain else 1e-9
+    assert np.max(np.abs(sol.potentials.phi - phi)) <= close
+    assert np.max(np.abs(sol.potentials.psi - psi)) <= close
     # psi is the half-step of phi, which the shift commutes with
     half_step = softmin(cost, mu, sol.potentials.phi, eps, mu.points)
     assert np.max(np.abs(sol.potentials.psi - half_step)) <= 1e-12
@@ -604,7 +609,7 @@ def test_self_solve_is_averaged_recursion_ending_on_half_step(unit_box, eps):
 def test_cross_solve_matches_plain_alternation(unit_square):
     # the reference runs to tol 1e-12: at eps = 0.01 plain alternation stopped
     # at 1e-10 is still 1.6e-8 from the fixed point, while the accelerated
-    # solve lands 8.4e-9 from it
+    # solve lands 4.8e-10 from it
     rng = np.random.default_rng(11)
     cost = AbsDistance(unit_square)
     mu = random_measure(rng, 25, unit_square)
@@ -623,7 +628,7 @@ def test_cross_solve_matches_plain_alternation(unit_square):
 @pytest.mark.parametrize("n, m, eps, share", [(300, 300, 0.1, 0.6), (60, 50, 0.3, 0.9)],
                          ids=["300x300-eps0.1", "60x50-eps0.3"])
 def test_overrelaxation_cuts_iterations(unit_square, n, m, eps, share):
-    # against plain alternation to the same tol: 20 of 67 turns on the
+    # against plain alternation to the same tol: 21 of 67 turns on the
     # 300 x 300 pair, and 11 of 17 on the 60 x 50 pair, whose plain rate at
     # eps = 0.3 is fast (about 0.29)
     rng = np.random.default_rng(31)
@@ -644,7 +649,7 @@ def test_anderson_solve_turn_count_on_seed_7_pair(unit_square):
     nu = random_measure(rng, 100, unit_square)
     sol = solve(AbsDistance(unit_square), mu, nu, SinkhornConfig(epsilon=0.1))
     assert sol.converged
-    assert sol.iterations == 19
+    assert sol.iterations == 20
 
 def _relaxed_pair(seed):
     rng = np.random.default_rng(seed)
@@ -687,6 +692,25 @@ def test_relaxed_stop_bounds_the_returned_pairs_defect():
         assert 0.5 * float(np.max(row - phi) - np.min(row - phi)) <= sol.final_residual + 1e-15
         step = softmin(cost, mu, row, eps, nu.points) - psi
         assert 0.5 * float(np.max(step) - np.min(step)) <= sol.kappa * sol.final_residual + 1e-15
+
+
+def test_cross_stop_certifies_value_on_split_plan(unit_box):
+    # the plan of mu = {0, 1} against nu = {0, 0.5} splits into {0} x {0} and
+    # {1} x {0.5}, joined only by couplings of order exp(-1 / eps). (mu, nu)
+    # lands on the fixed point in 1 turn. (nu, mu) starts with nu's atom 0.5
+    # split evenly between 0 and 1 and extrapolates; stopped on its residual
+    # alone, its value was half that residual (4.1e-11) below
+    cost, eps = AbsDistance(unit_box), 2.0 ** -9
+    mu = DiscreteMeasure.normalized(np.array([[0.0], [1.0]]))
+    nu = DiscreteMeasure.normalized(np.array([[0.0], [0.5]]))
+    cfg = SinkhornConfig(epsilon=eps)
+    exact = solve(cost, mu, nu, cfg)
+    assert exact.converged and exact.iterations == 1
+    sol = solve(cost, nu, mu, cfg)
+    assert sol.converged and sol.iterations > sinkhorn._PLAIN_ITERATIONS
+    # the dual value is below OT_eps, and certified within tol of it
+    assert -1e-15 <= exact.value - sol.value <= cfg.tol
+    assert sol.value == pytest.approx(exact.value, abs=1e-12)
 
 
 def test_max_iter_counts_rejected_turns():
