@@ -12,7 +12,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .divergence import (
 from .errors import ConfigError, SinkdivError
 from .exact_ot import exact_ot
 from .fileio import atomic_write_text
-from .kernels import NegatedKernel, cost_from_spec, kernel_for_cost, kernel_from_spec
+from .kernels import NegatedKernel, _check_integer, cost_from_spec, kernel_for_cost, kernel_from_spec
 from .measures import BoundingBox, load_measure, save_potential, validate
 from .sinkhorn import SinkhornConfig, extend_potentials, solve
 
@@ -87,12 +88,12 @@ def _load_config(args, command: str) -> dict:
 
 
 def _validate_keys(command: str, config: dict):
-    """ConfigError for a key the command does not take or a path key that is not a string."""
+    """ConfigError for a key the command does not take, or a path key that names no file."""
     allowed = _SCHEMAS[command]
     for key, value in config.items():
         if key not in allowed:
             raise ConfigError(f"unknown config key {key!r} for command {command!r}")
-        if key in _PATH_KEYS and not isinstance(value, str):
+        if key in _PATH_KEYS and not (isinstance(value, str) and value):
             raise ConfigError(f"invalid {key!r}: {value!r} is not a path")
 
 
@@ -133,20 +134,31 @@ def _coerce(key: str, value, kind: type):
 
 
 def _dataclass_config(cls, config: dict, **given):
-    """cls(**given) plus the config keys that name its other fields.
+    """cls(**given) plus the config keys that name its other (int or float) fields.
 
-    Only keys present in the config are passed, each coerced to the type of
-    its field's default, so the defaults live only in the dataclass. A value
-    the dataclass rejects becomes a ConfigError; its message names the field.
+    Each key is coerced to its field's annotated type, and a field with a
+    default is passed only when its key is present, so the defaults live only
+    in the dataclass. A missing key of a field without a default, or a value
+    the dataclass rejects, is a ConfigError naming the field.
     """
     kwargs = dict(given)
+    types = get_type_hints(cls)
     for f in fields(cls):
-        if f.name not in given and f.name in config:
-            kwargs[f.name] = _coerce(f.name, config[f.name], type(f.default))
+        if f.name not in given and (f.name in config or f.default is MISSING):
+            kwargs[f.name] = _coerce(f.name, _require(config, f.name), types[f.name])
     try:
         return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
+
+
+def _grid_from(config, box: BoundingBox) -> np.ndarray:
+    """The box's grid, grid_points_per_axis nodes per axis (default 64; at least 2, the ends)."""
+    per_axis = _coerce("grid_points_per_axis", config.get("grid_points_per_axis", 64), int)
+    try:
+        return box.grid(_check_integer("potentials", "grid_points_per_axis", per_axis, 2))
+    except ValueError as exc:
+        raise ConfigError(f"invalid 'grid_points_per_axis': {exc}") from exc
 
 
 def _from_spec(config, key: str, build, box: BoundingBox):
@@ -214,8 +226,7 @@ def cmd_compute(config: dict, allow_partial: bool) -> int:
         value = result.value
     else:  # ot_eps, s_eps
         cost = _from_spec(config, "cost", cost_from_spec, box)
-        epsilon = _coerce("epsilon", _require(config, "epsilon"), float)
-        cfg = _dataclass_config(SinkhornConfig, config, epsilon=epsilon)
+        cfg = _dataclass_config(SinkhornConfig, config)
         if kind == "ot_eps":
             result = solve(cost, mu, nu, cfg)
             value = result.value
@@ -260,13 +271,7 @@ def cmd_dither(config: dict, allow_partial: bool) -> int:
     box = _box_from(config)
     target = _measure_from(config, "target", box)
     cost = _from_spec(config, "cost", cost_from_spec, box)
-    cfg = _dataclass_config(
-        DitherConfig,
-        config,
-        M=_coerce("M", _require(config, "M"), int),
-        epsilon=_coerce("epsilon", _require(config, "epsilon"), float),
-        cost=cost,
-    )
+    cfg = _dataclass_config(DitherConfig, config, cost=cost)
     state = run_dither(cfg, target)
 
     weights = np.full(cfg.M, 1.0 / cfg.M)
@@ -295,17 +300,9 @@ def cmd_potentials(config: dict, allow_partial: bool) -> int:
     cost = _from_spec(config, "cost", cost_from_spec, box)
     # the witness needs c = -K; checked before anything is solved or written
     kernel = kernel_for_cost(cost)
-    epsilon = _coerce("epsilon", _require(config, "epsilon"), float)
-    per_axis = _coerce("grid_points_per_axis", config.get("grid_points_per_axis", 64), int)
-    # the grid includes both endpoints of each axis
-    if per_axis < 2:
-        raise ConfigError(f"invalid 'grid_points_per_axis': {per_axis} is less than 2")
-    try:
-        grid = box.grid(per_axis)
-    except ValueError as exc:
-        raise ConfigError(f"invalid 'grid_points_per_axis': {exc}") from exc
+    grid = _grid_from(config, box)
 
-    solution = solve(cost, mu, nu, _dataclass_config(SinkhornConfig, config, epsilon=epsilon))
+    solution = solve(cost, mu, nu, _dataclass_config(SinkhornConfig, config))
     status = 0 if solution.converged or allow_partial else 2
     pair = solution.potentials
     phi_grid, psi_grid = extend_potentials(cost, mu, nu, pair, grid)

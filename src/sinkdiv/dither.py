@@ -1,8 +1,9 @@
 """Dithering: approximate a target measure by M equal-weight atoms.
 
 Minimizes the Sinkhorn divergence between the target and the empirical
-measure of the atom positions, using projected gradient descent with Armijo
-backtracking onto the bounding box. The gradient is the envelope gradient
+measure of the atom positions by gradient descent projected onto the
+bounding box, each step found by an Armijo line search whose constants are
+fixed (_FIRST_STEP, _SHRINK, _ARMIJO). The gradient is the envelope gradient
 through the optimal plans; at infinite regularization those are the
 independent couplings, and for a kernel-backed cost the objective is half the
 squared discrepancy.
@@ -37,10 +38,22 @@ from .kernels import (
     PowerDistance,
     ShiftedNegativeDistance,
     SmoothedNegativeDistance,
+    _check_integer,
+    _positive,
 )
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NonFiniteValueError
 from .measures import DiscreteMeasure, uniform, validate
-from .sinkhorn import SinkhornConfig, SinkhornSolution, _check_integer, solve
+from .sinkhorn import SinkhornConfig, SinkhornSolution, solve
+
+# The line search's constants, the same for every run. The unit step: each
+# search starts from twice the last accepted step, the first from 2.
+_FIRST_STEP = 1.0
+# Halving on each rejection takes a failing search from 2 to the 1e-14 floor in 48 trials.
+_SHRINK = 0.5
+# The customary Armijo constant (Nocedal & Wright, Numerical Optimization,
+# 3.1): positive, so no energy increase is accepted, and small, so nearly
+# every step along which the energy falls is.
+_ARMIJO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -50,8 +63,11 @@ class DitherConfig:
     epsilon may be infinite, where the objective is the limit of S_eps: half
     the squared discrepancy for a kernel-backed cost (c = -K), and defined for
     any cost. Costs with a distance kink at coincident points are replaced by
-    the smoothed negative-distance kernel (width `smoothing`) at resolution
-    time, since the line search needs a gradient everywhere.
+    the smoothed negative-distance kernel (width `smoothing`, checked by that
+    kernel's rule) at resolution time, since the line search needs a gradient
+    everywhere. The line search's constants are fixed (_FIRST_STEP, _SHRINK,
+    _ARMIJO): the first trial step is 2, each later one twice the last
+    accepted step, halved on each rejection, with Armijo constant 1e-4.
     """
 
     M: int
@@ -59,47 +75,24 @@ class DitherConfig:
     cost: Cost
     max_outer_iter: int = 500
     grad_tol: float = 1e-6
-    initial_step: float = 1.0
-    backtrack: float = 0.5
-    sufficient_decrease: float = 1e-4
     seed: int = 0
     inner_tol: float = 1e-9
     inner_max_iter: int = 10_000
     smoothing: float = 1e-2
 
     def __post_init__(self):
-        for name in ("M", "max_outer_iter", "inner_max_iter", "seed"):
-            _check_integer(getattr(self, name), name)
-        if self.M < 1:
-            raise ValueError("M must be >= 1")
-        # written so that NaN fails too
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive (infinity allowed)")
-        if not self.inner_tol > 0:
-            raise ValueError("inner_tol must be positive")
-        # zero inner iterations would score unsolved potentials
-        if not self.inner_max_iter >= 1:
-            raise ValueError(f"inner_max_iter must be >= 1, got {self.inner_max_iter}")
-        if not self.max_outer_iter >= 0:
-            raise ValueError(f"max_outer_iter must be >= 0, got {self.max_outer_iter}")
-        # numpy's generators take only non-negative seeds
-        if not self.seed >= 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        # the width of the smoothed distance kernel that replaces kinked costs
-        if not 0.0 < self.smoothing < float("inf"):
-            raise ValueError(f"smoothing must be finite and positive, got {self.smoothing}")
-        if not self.grad_tol >= 0:
-            raise ValueError(f"grad_tol must be >= 0, got {self.grad_tol}")
-        # a NaN first step fails the line search at once; an infinite one
-        # never shrinks under backtracking
-        if not 0.0 < self.initial_step < float("inf"):
-            raise ValueError(f"initial_step must be finite and positive, got {self.initial_step}")
-        # a factor of 1 or more never shrinks the step, so the line search
-        # would not end; a negative Armijo constant accepts energy increases
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError(f"backtrack must lie in (0, 1), got {self.backtrack}")
-        if not 0.0 < self.sufficient_decrease < 1.0:
-            raise ValueError(f"sufficient_decrease must lie in (0, 1), got {self.sufficient_decrease}")
+        # zero inner iterations would score unsolved potentials, and numpy's
+        # generators take only non-negative seeds
+        for name, minimum in (("M", 1), ("max_outer_iter", 0), ("inner_max_iter", 1), ("seed", 0)):
+            _check_integer("DitherConfig", name, getattr(self, name), minimum)
+        # the positions are one (M, d) array, which numpy must be able to index
+        if self.M * self.cost.box.dim > np.iinfo(np.intp).max // 8:
+            raise ValueError("DitherConfig requires an (M, d) array numpy can index, "
+                             f"got M = {self.M}")
+        _positive("DitherConfig", "epsilon", self.epsilon, infinite=True)
+        _positive("DitherConfig", "inner_tol", self.inner_tol)
+        _positive("DitherConfig", "grad_tol", self.grad_tol, minimum=0)
+        _positive("DitherConfig", "smoothing", self.smoothing, squared=True)
 
 
 @dataclass
@@ -183,7 +176,13 @@ def _envelope_gradient(cost: Cost, cross: SinkhornSolution, self_p: SinkhornSolu
     def contraction(sol):
         return cost.plan_grad_y(sol.mu.points, sol.nu.points, sol.plan.matrix, sol.cost_matrix)
 
-    return contraction(cross) - contraction(self_p)
+    # exp((phi + psi - C) / eps) overflows in the plans once eps is below the
+    # rounding of the potentials (at about 1e-20 on a box of diameter 1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        grad = contraction(cross) - contraction(self_p)
+    if not np.all(np.isfinite(grad)):
+        raise NonFiniteValueError(f"epsilon = {cross.potentials.epsilon!r} is too small")
+    return grad
 
 
 class _Run:
@@ -227,7 +226,7 @@ class _Run:
 
 
 def dither(cfg: DitherConfig, target: DiscreteMeasure) -> DitherState:
-    """Projected gradient descent with Armijo backtracking from seeded positions.
+    """Projected gradient descent with an Armijo line search from seeded positions.
 
     Stops on the gradient tolerance, the outer iteration cap, or a line-search
     step underflow (below 1e-14, recorded in the state, not fatal). The energy
@@ -248,10 +247,10 @@ def dither(cfg: DitherConfig, target: DiscreteMeasure) -> DitherState:
     failed = False
 
     it = 0
-    last_step = cfg.initial_step
+    last_step = _FIRST_STEP
     while not converged and it < cfg.max_outer_iter:
         it += 1
-        # start from twice the last accepted step; Armijo backtracking still
+        # start from twice the last accepted step; the Armijo test still
         # guards every move, so the trace stays monotone
         step = 2.0 * last_step
         accepted = False
@@ -263,10 +262,10 @@ def dither(cfg: DitherConfig, target: DiscreteMeasure) -> DitherState:
                 break
             cand_energy, cand_solutions = run.energy_and_solutions(candidate)
             decrease = float(np.sum(grad * (candidate - positions)))
-            if cand_energy <= energy + cfg.sufficient_decrease * decrease:
+            if cand_energy <= energy + _ARMIJO * decrease:
                 accepted = True
                 break
-            step *= cfg.backtrack
+            step *= _SHRINK
         if converged:
             break
         if not accepted:

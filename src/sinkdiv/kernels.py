@@ -328,24 +328,35 @@ def _plan_contraction(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray) -> np
     return ys * weights.sum(axis=0)[:, None] - weights.T @ xs
 
 
-# ---------------------------------------------------------------------------
-# Kernels
-# ---------------------------------------------------------------------------
+def _positive(owner: str, name: str, value, squared=False, infinite=False, minimum=None) -> float:
+    """value as a float; ValueError naming the option unless 0 < value < inf.
 
-def _positive(owner: str, name: str, value, squared: bool = False) -> float:
-    """value as a float; ValueError naming the parameter unless 0 < value < inf.
-
-    squared, for a parameter the profile uses as its square, also requires 0
-    < value^2 < inf: a square that underflows or overflows gives NaN or
-    infinite kernel values.
+    The rule of every real option. infinite admits +inf (an epsilon), a
+    minimum replaces 0 < value by minimum <= value (0 for a gradient
+    tolerance), and squared, for a parameter used as its square, requires 0 <
+    value^2 < inf, since its kernel values are NaN or infinite otherwise.
     """
-    # written so that NaN fails too
-    if not 0 < value < math.inf:
-        raise ValueError(f"{owner} requires a finite {name} > 0, got {value!r}")
+    # comparisons with NaN are false, so NaN fails too
+    above = value > 0 if minimum is None else value >= minimum
+    if not (above and (value < math.inf or infinite and value == math.inf)):
+        finite = "" if infinite else "a finite "
+        bound = "> 0" if minimum is None else f">= {minimum}"
+        raise ValueError(f"{owner} requires {finite}{name} {bound}, got {value!r}")
     if squared and not 0 < float(value) * float(value) < math.inf:
         raise ValueError(f"{owner} requires {name}^2 to be finite and > 0, got {name} = {value!r}")
     return float(value)
 
+
+def _check_integer(owner: str, name: str, value, minimum: int) -> int:
+    """value as an int; ValueError naming the option unless an int or numpy integer >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{owner} requires an integer {name} >= {minimum}, got {value!r}")
+    return int(value)
+
+
+# ---------------------------------------------------------------------------
+# Kernels
+# ---------------------------------------------------------------------------
 
 class Kernel(_RadialFunction):
     """Symmetric kernel with Lipschitz metadata."""
@@ -384,6 +395,11 @@ class InverseMultiquadric(Kernel):
     def __init__(self, box: BoundingBox, c: float = 1.0, p: float = 0.5):
         self.c = _positive("InverseMultiquadric", "c", c, squared=True)
         self.p = _positive("InverseMultiquadric", "p", p)
+        # |h'| peaks near r = 0, where the power is (c^2)^(-p-1)
+        with np.errstate(over="ignore", under="ignore"):
+            if not 0 < np.float64(self.c * self.c) ** (-self.p - 1.0) < math.inf:
+                raise ValueError("InverseMultiquadric requires (c^2)^(-p-1) to be finite and > 0, "
+                                 f"got c = {c!r}, p = {p!r}")
         super().__init__(box)
 
     def _profile(self, r):
@@ -403,11 +419,7 @@ class WendlandPower(Kernel):
     smooth_at_zero = False
 
     def __init__(self, box: BoundingBox, p: float):
-        min_p = box.dim // 2 + 1
-        if not min_p <= p < math.inf:
-            raise ValueError(
-                f"WendlandPower in dimension {box.dim} requires a finite p >= {min_p}, got {p!r}")
-        self.p = float(p)
+        self.p = _positive(f"WendlandPower in dimension {box.dim}", "p", p, minimum=box.dim // 2 + 1)
         super().__init__(box)
 
     def _profile(self, r):
@@ -592,8 +604,7 @@ class SpectralKernel(Kernel):
 
 def empirical_pd_check(kernel: Kernel, n: int, seed: int, box: BoundingBox | None = None) -> float:
     """Smallest eigenvalue of the Gram matrix on n seeded uniform points."""
-    if n < 2:
-        raise ValueError("empirical_pd_check requires n >= 2")
+    _check_integer("empirical_pd_check", "n", n, 2)
     box = box if box is not None else kernel.box
     rng = np.random.default_rng(seed)
     pts = box.sample(n, rng)

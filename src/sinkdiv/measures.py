@@ -32,9 +32,9 @@ def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if pts.ndim != 2:
+    if pts.ndim != 2 or pts.shape[1] == 0:
         raise DimensionMismatchError(
-            f"points must be a (n, d) array, got shape {pts.shape}"
+            f"points must be a (n, d) array with d >= 1, got shape {pts.shape}"
         )
     return pts
 
@@ -68,10 +68,9 @@ class BoundingBox:
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise DimensionMismatchError(
-                f"box corners must be vectors of equal length, got {lo.shape} and {hi.shape}"
-            )
+        if lo.shape != hi.shape or lo.ndim != 1 or lo.size == 0:
+            raise DimensionMismatchError("box corners must be non-empty vectors of equal length, "
+                                         f"got {lo.shape} and {hi.shape}")
         # an infinite corner gives an infinite diameter and grid
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise NonFiniteValueError("box corners must be finite")
@@ -272,13 +271,13 @@ def sample_grid_density(f, box: BoundingBox, n_per_axis: int) -> DiscreteMeasure
 def load_table(path) -> tuple[np.ndarray, np.ndarray]:
     """Read the raw (values, points) columns of a measure-format file.
 
-    A field that is not a number, or a line without a coordinate or with a
-    field count other than the first atom line's, raises MeasureFileError
-    naming <path>:<line>.
+    A field that is not a number (bytes that are not UTF-8 read as U+FFFD),
+    or a line without a coordinate or with a field count other than the first
+    atom line's, raises MeasureFileError naming <path>:<line>.
     """
     values = []
     rows = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
         for number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

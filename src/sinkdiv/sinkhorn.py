@@ -61,14 +61,9 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteValueError
 from .exact_ot import TransportPlan
-from .kernels import Cost, _fill_parts, _pool_parts, _row_blocks, _run_parts
+from .kernels import (Cost, _check_integer, _fill_parts, _pool_parts, _positive, _row_blocks,
+                      _run_parts)
 from .measures import DiscreteMeasure, _finite_points
-
-
-def _check_integer(value, name: str):
-    """ValueError naming the field unless value is an int or numpy integer (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -86,15 +81,10 @@ class SinkhornConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
-        # written so that NaN fails too
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        _check_integer(self.max_iter, "max_iter")
+        _positive("SinkhornConfig", "epsilon", self.epsilon, infinite=True)
+        _positive("SinkhornConfig", "tol", self.tol)
         # zero iterations would return the unsolved starting potentials
-        if not self.max_iter >= 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        _check_integer("SinkhornConfig", "max_iter", self.max_iter, 1)
 
 
 @dataclass(frozen=True)
@@ -232,9 +222,7 @@ def softmin(cost: Cost, m: DiscreteMeasure, phi: np.ndarray, epsilon: float, que
     on one BLAS thread. A non-finite query coordinate raises
     NonFiniteValueError.
     """
-    # written so that NaN fails too
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    _positive("softmin", "epsilon", epsilon, infinite=True)
     pts = _finite_points(query_points)
     phi = _finite_vector(phi, len(m), "phi")
     weights = m.weights
@@ -263,8 +251,7 @@ def contraction_estimate(cost: Cost, epsilon: float) -> float:
     closed-form step of solve, the half-step maps every potential to the same
     one up to a constant, so kappa is 0 for every cost, an infinite L included.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    _positive("contraction_estimate", "epsilon", epsilon, infinite=True)
     exponent = 0.0 if math.isinf(epsilon) else -2.0 * cost.lipschitz * cost.box.diameter / epsilon
     return 1.0 - float(np.exp(exponent))
 

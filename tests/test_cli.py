@@ -216,6 +216,9 @@ def _base_config(tmp_path, command, mu, nu):
     ("dither", "smoothing=-1", "smoothing"),
     ("dither", "smoothing=0", "smoothing"),
     ("dither", "smoothing=NaN", "smoothing"),
+    # the smoothed kernel's rule: the width's square must be a positive float
+    ("dither", "smoothing=1e-200", "smoothing"),
+    ("dither", "smoothing=1e200", "smoothing"),
     ("compute", "epsilon=NaN", "epsilon"),
     ("compute", "epsilon=0", "epsilon"),
     ("compute", "epsilon=-1", "epsilon"),
@@ -252,6 +255,16 @@ def _base_config(tmp_path, command, mu, nu):
                 '{"variant":"Gaussian","params":{"c":1e200}}}}', "cost"),
     ("compute", 'cost={"variant":"NegatedKernel","params":{"kernel":'
                 '{"variant":"InverseMultiquadric","params":{"c":1e-300}}}}', "cost"),
+    # (c^2)^(-p-1) overflows: the Lipschitz bound was NaN
+    ("compute", 'cost={"variant":"NegatedKernel","params":{"kernel":'
+                '{"variant":"InverseMultiquadric","params":{"c":1e-150}}}}', "cost"),
+    ("compute", 'cost={"variant":"NegatedKernel","params":{"kernel":'
+                '{"variant":"InverseMultiquadric","params":{"c":0.01,"p":200}}}}', "cost"),
+    # a path key must name a file
+    ("compute", 'mu=""', "mu"),
+    ("dither", 'output_trace=""', "output_trace"),
+    # the positions are one (M, d) array
+    ("dither", "M=1e300", "M"),
     # a spectral kernel needs at least alpha_0
     ("compute", 'cost={"variant":"NegatedKernel","params":{"kernel":'
                 '{"variant":"SpectralKernel","params":{"alpha":[]}}}}', "cost"),

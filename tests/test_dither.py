@@ -58,20 +58,8 @@ def test_smooth_cost_kept(square):
 
 
 # ---------------------------------------------------------------------------
-# line-search constants
+# configuration
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("key, value", [
-    # a factor >= 1 never shrinks the step, so the line search would not end
-    ("backtrack", 1.0), ("backtrack", 2.0), ("backtrack", 0.0), ("backtrack", -0.5),
-    ("backtrack", math.nan),
-    # a negative constant accepts energy increases
-    ("sufficient_decrease", -1e-4), ("sufficient_decrease", 0.0),
-    ("sufficient_decrease", 1.0), ("sufficient_decrease", math.nan),
-])
-def test_line_search_constants_outside_unit_interval_rejected(square, key, value):
-    with pytest.raises(ValueError, match=key):
-        DitherConfig(M=2, epsilon=1.0, cost=AbsDistance(square), **{key: value})
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
 def test_epsilon_non_positive_or_nan_rejected(square, value):
@@ -81,9 +69,6 @@ def test_epsilon_non_positive_or_nan_rejected(square, value):
 @pytest.mark.parametrize("key, value", [
     # NaN would never meet the gradient tolerance, so every outer step runs
     ("grad_tol", -1e-6), ("grad_tol", math.nan),
-    # a NaN first step fails the Armijo test at once and ends the run at step 0
-    ("initial_step", 0.0), ("initial_step", -1.0), ("initial_step", math.nan),
-    ("initial_step", math.inf),
 ])
 def test_step_and_gradient_tolerance_outside_range_rejected(square, key, value):
     with pytest.raises(ValueError, match=key):
@@ -100,6 +85,8 @@ def test_step_and_gradient_tolerance_outside_range_rejected(square, key, value):
     # the smoothed kernel's width: SmoothedNegativeDistance raises on c <= 0
     # and NaN reaches the solver as non-finite coordinates
     ("smoothing", 0.0), ("smoothing", -1.0), ("smoothing", math.nan), ("smoothing", math.inf),
+    # the kernel's own rule: a width whose square underflows or overflows
+    ("smoothing", 1e-200), ("smoothing", 1e200),
 ])
 def test_iteration_budgets_and_smoothing_outside_range_rejected(square, key, value):
     with pytest.raises(ValueError, match=key):
@@ -122,11 +109,6 @@ def test_zero_outer_budget_accepted(square):
 
 def test_zero_gradient_tolerance_accepted(square):
     assert DitherConfig(M=2, epsilon=1.0, cost=AbsDistance(square), grad_tol=0.0).grad_tol == 0.0
-
-def test_line_search_constants_inside_unit_interval_accepted(square):
-    cfg = DitherConfig(M=2, epsilon=1.0, cost=AbsDistance(square), backtrack=0.9,
-                       sufficient_decrease=0.5)
-    assert (cfg.backtrack, cfg.sufficient_decrease) == (0.9, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +225,22 @@ def test_energy_trace_monotone(square):
     assert all(b <= a + 1e-14 for a, b in zip(energies, energies[1:]))
     assert state.energy == energies[-1]
 
+def test_line_search_starts_at_two_and_halves_on_rejection(square):
+    # each search starts from twice the last accepted step (the first from 2)
+    # and halves the step on each rejection, so it takes 1 + log2(2 last /
+    # step) trials, every one an energy evaluation
+    density = lambda x: math.exp(-9.0 * float(x @ x) / 2.0)
+    target = sample_grid_density(density, square, 12)
+    cfg = DitherConfig(M=6, epsilon=math.inf, cost=AbsDistance(square), seed=5,
+                       max_outer_iter=40)
+    state = dither(cfg, target)
+    assert len(state.trace) == 41
+    steps = [1.0] + [rec["step"] for rec in state.trace[1:]]
+    trials = [1 + math.log2(2.0 * last / step) for last, step in zip(steps, steps[1:])]
+    assert all(t == int(t) and t >= 1 for t in trials)
+    assert any(t > 1 for t in trials)
+    assert state.energy_evaluations == 1 + sum(trials)
+
 def test_infinite_epsilon_descent_with_non_kernel_cost(square):
     # for c = |x - y|^2 the limit of S_eps is the squared distance of the means
     density = lambda x: math.exp(-9.0 * float(x @ x) / 2.0)
@@ -308,6 +306,15 @@ def test_at_convergence_gradient_below_tolerance(square):
     state = dither(cfg, target)
     assert state.converged
     assert np.max(np.abs(state.grad)) <= 1e-8
+
+def test_epsilon_below_the_rounding_of_the_potentials_raises_naming_it(square):
+    # exp((phi + psi - C) / eps) overflows in the plans, whose contraction
+    # then gave a NaN gradient and NaN candidate positions
+    target = uniform(np.array([[0.1 * k - 0.95, 0.0] for k in range(20)]))
+    cfg = DitherConfig(M=2, epsilon=1e-300, cost=AbsDistance(square), max_outer_iter=1,
+                       inner_max_iter=50)
+    with pytest.raises(NonFiniteValueError, match="epsilon"):
+        dither(cfg, target)
 
 def test_unconverged_inner_solves_counted(square):
     density = lambda x: math.exp(-9.0 * float(x @ x) / 2.0)

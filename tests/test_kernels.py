@@ -538,6 +538,13 @@ def test_width_whose_square_underflows_or_overflows_raises_naming_it(unit_square
     with pytest.raises(ValueError, match=r"\bc\^2"):
         build(unit_square, value)
 
+@pytest.mark.parametrize("c, p", [(1e-150, 0.5), (0.01, 200.0), (1e100, 10.0)])
+def test_inverse_multiquadric_power_not_finite_and_positive_raises_naming_c_and_p(unit_square, c, p):
+    # |h'| peaks near r = 0 at 2p r (c^2)^(-p-1): an overflow there made the
+    # Lipschitz bound NaN, and an underflow makes every kernel value 0
+    with pytest.raises(ValueError, match=r"\bc = .*\bp = "):
+        InverseMultiquadric(unit_square, c=c, p=p)
+
 @pytest.mark.parametrize("alpha", [[], [[1.0, 0.5]], 1.0], ids=["empty", "2-D", "scalar"])
 def test_spectral_kernel_rejects_malformed_alpha(alpha):
     with pytest.raises(ValueError, match=r"\balpha\b"):

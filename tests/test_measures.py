@@ -107,6 +107,16 @@ def test_box_corners_must_be_finite(lower, upper):
     with pytest.raises(NonFiniteValueError, match="box"):
         BoundingBox(np.array(lower), np.array(upper))
 
+@pytest.mark.parametrize("build", [
+    lambda: BoundingBox(np.array([]), np.array([])),
+    lambda: DiscreteMeasure(np.zeros((3, 0)), np.ones(3) / 3),
+    lambda: uniform(np.zeros((3, 0))),
+], ids=["box", "measure", "uniform"])
+def test_zero_dimensional_boxes_and_points_rejected(build):
+    # pairwise distances and every solve read the first coordinate
+    with pytest.raises(DimensionMismatchError):
+        build()
+
 def test_measure_arrays_frozen():
     m = uniform(np.array([[0.0], [1.0]]))
     with pytest.raises(ValueError):
