@@ -329,7 +329,7 @@ def _plan_contraction(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray) -> np
 
 
 def _positive(owner: str, name: str, value, squared=False, infinite=False, minimum=None) -> float:
-    """value as a float; ValueError naming the option unless 0 < value < inf.
+    """value as a float; ValueError naming the option unless 0 < value < inf (a bool is not).
 
     The rule of every real option. infinite admits +inf (an epsilon), a
     minimum replaces 0 < value by minimum <= value (0 for a gradient
@@ -338,7 +338,8 @@ def _positive(owner: str, name: str, value, squared=False, infinite=False, minim
     """
     # comparisons with NaN are false, so NaN fails too
     above = value > 0 if minimum is None else value >= minimum
-    if not (above and (value < math.inf or infinite and value == math.inf)):
+    below = value < math.inf or infinite and value == math.inf
+    if isinstance(value, bool) or not (above and below):
         finite = "" if infinite else "a finite "
         bound = "> 0" if minimum is None else f">= {minimum}"
         raise ValueError(f"{owner} requires {finite}{name} {bound}, got {value!r}")

@@ -69,6 +69,8 @@ def test_epsilon_non_positive_or_nan_rejected(square, value):
 @pytest.mark.parametrize("key, value", [
     # NaN would never meet the gradient tolerance, so every outer step runs
     ("grad_tol", -1e-6), ("grad_tol", math.nan),
+    # an infinite tolerance stops every run at step 0, flagged converged
+    ("grad_tol", math.inf), ("inner_tol", math.inf),
 ])
 def test_step_and_gradient_tolerance_outside_range_rejected(square, key, value):
     with pytest.raises(ValueError, match=key):

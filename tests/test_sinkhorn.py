@@ -1058,7 +1058,9 @@ def test_softmin_and_contraction_estimate_reject_non_positive_and_nan(unit_box, 
 
 
 @pytest.mark.parametrize("field, value", [
-    *[(field, value) for field in ["epsilon", "tol"] for value in [0.0, -1.0, math.nan]],
+    *[(field, value) for field in ["epsilon", "tol"] for value in [0.0, -1.0, math.nan, True]],
+    # an infinite tolerance would stop every solve after one turn, flagged converged
+    ("tol", math.inf),
     # range() takes no float or bool; --set max_iter=50.0 reaches here as 50
     ("max_iter", 2.5), ("max_iter", 50.0), ("max_iter", True), ("max_iter", np.float64(3.0)),
 ])
