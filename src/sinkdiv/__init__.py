@@ -58,7 +58,6 @@ from .sinkhorn import (
     PotentialPair,
     SinkhornConfig,
     SinkhornSolution,
-    contraction_estimate,
     ot_infinity,
     potential_lipschitz_check,
     softmin,

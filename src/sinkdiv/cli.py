@@ -31,7 +31,7 @@ from .divergence import (
 from .errors import ConfigError, SinkdivError
 from .exact_ot import exact_ot
 from .fileio import atomic_write_text
-from .kernels import NegatedKernel, _check_integer, cost_from_spec, kernel_for_cost, kernel_from_spec
+from .kernels import NegatedKernel, cost_from_spec, kernel_for_cost, kernel_from_spec
 from .measures import BoundingBox, load_measure, save_potential, validate
 from .sinkhorn import SinkhornConfig, extend_potentials, solve
 
@@ -154,9 +154,8 @@ def _dataclass_config(cls, config: dict, **given):
 
 def _grid_from(config, box: BoundingBox) -> np.ndarray:
     """The box's grid, grid_points_per_axis nodes per axis (default 64; at least 2, the ends)."""
-    per_axis = _coerce("grid_points_per_axis", config.get("grid_points_per_axis", 64), int)
     try:
-        return box.grid(_check_integer("potentials", "grid_points_per_axis", per_axis, 2))
+        return box.grid(_coerce("grid_points_per_axis", config.get("grid_points_per_axis", 64), int))
     except ValueError as exc:
         raise ConfigError(f"invalid 'grid_points_per_axis': {exc}") from exc
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ZeroDiscrepancyError, ZeroMassError
 from .kernels import Kernel, SpectralKernel
-from .measures import DiscreteMeasure, _finite_points
+from .measures import DiscreteMeasure, _check_integer, _finite_points
 
 # Below this threshold the witness (division by the RKHS norm) is undefined.
 ZERO_DISCREPANCY_TOL = 1e-14
@@ -73,7 +73,8 @@ class FourierCoeffs:
 
 
 def fourier_coefficients(m: DiscreteMeasure, max_freq: int) -> FourierCoeffs:
-    """m_hat_k = sum_j m_j exp(-2 pi i k x_j) by direct summation."""
+    """m_hat_k = sum_j m_j exp(-2 pi i k x_j) by direct summation, for an integer max_freq >= 0."""
+    max_freq = _check_integer("fourier_coefficients", "max_freq", max_freq, 0)
     if m.dim != 1:
         raise DimensionMismatchError("Fourier coefficients require 1-dimensional measures")
     x = m.points[:, 0]

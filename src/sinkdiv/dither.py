@@ -38,11 +38,9 @@ from .kernels import (
     PowerDistance,
     ShiftedNegativeDistance,
     SmoothedNegativeDistance,
-    _check_integer,
-    _positive,
 )
 from .errors import DimensionMismatchError, NonFiniteValueError
-from .measures import DiscreteMeasure, uniform, validate
+from .measures import DiscreteMeasure, _check_integer, _positive, uniform, validate
 from .sinkhorn import SinkhornConfig, SinkhornSolution, solve
 
 # The line search's constants, the same for every run. The unit step: each
@@ -158,11 +156,11 @@ def objective(cfg: DitherConfig, target: DiscreteMeasure, positions) -> float:
 
 
 def gradient(cfg: DitherConfig, target: DiscreteMeasure, positions) -> np.ndarray:
-    """Gradient of the objective with respect to the atom positions, shape (M, d)."""
+    """Gradient of the objective in the atom positions, shape (M, d); solves no target self-term."""
     validate(target, cfg.cost.box)
     positions = _checked_positions(cfg, positions)
     run = _Run(cfg, target)
-    return _envelope_gradient(run.cost, *run.energy_and_solutions(positions)[1])
+    return _envelope_gradient(run.cost, *run.solutions(positions))
 
 
 def _envelope_gradient(cost: Cost, cross: SinkhornSolution, self_p: SinkhornSolution) -> np.ndarray:
@@ -188,8 +186,9 @@ def _envelope_gradient(cost: Cost, cross: SinkhornSolution, self_p: SinkhornSolu
 class _Run:
     """Shared state of one dithering run.
 
-    Warm starts, the constant target self-term, the count of inner solves
-    that stopped at max_iter and the count of energy evaluations.
+    Warm starts, the constant target self-term (solved by the first energy
+    evaluation), the count of inner solves that stopped at max_iter and the
+    count of energy evaluations.
     """
 
     def __init__(self, cfg: DitherConfig, target: DiscreteMeasure):
@@ -199,8 +198,7 @@ class _Run:
                                     tol=cfg.inner_tol)
         self.unconverged = 0
         self.evaluations = 0
-        # -OT_eps(target, target) / 2, constant in the positions
-        self.target_term = -0.5 * self._solve(target, target, None).value
+        self.target_term = None
         self.psi_cross = None
         self.phi_self = None
 
@@ -209,20 +207,23 @@ class _Run:
         self.unconverged += not solution.converged
         return solution
 
-    def energy_and_solutions(self, positions: np.ndarray):
-        """Energy at the positions and (cross, self); warm-starts the next call.
-
-        Each solution keeps the cost matrix it solved on, for the gradient,
-        and builds its plan only when the gradient reads it.
-        """
-        self.evaluations += 1
+    def solutions(self, positions: np.ndarray):
+        """(cross, self) at the positions, each with its cost matrix; warm-starts the next call."""
         nu_p = uniform(positions)
         cross = self._solve(self.target, nu_p, self.psi_cross)
         self_p = self._solve(nu_p, nu_p, self.phi_self)
         self.psi_cross = cross.potentials.psi
         self.phi_self = self_p.potentials.phi
-        value = cross.value + self.target_term - 0.5 * self_p.value
-        return value, (cross, self_p)
+        return cross, self_p
+
+    def energy_and_solutions(self, positions: np.ndarray):
+        """Energy at the positions and (cross, self)."""
+        self.evaluations += 1
+        if self.target_term is None:
+            # -OT_eps(target, target) / 2, constant in the positions
+            self.target_term = -0.5 * self._solve(self.target, self.target, None).value
+        cross, self_p = self.solutions(positions)
+        return cross.value + self.target_term - 0.5 * self_p.value, (cross, self_p)
 
 
 def dither(cfg: DitherConfig, target: DiscreteMeasure) -> DitherState:

@@ -107,15 +107,15 @@ def witness_from_limits(
 def sweep_epsilons(epsilons=None) -> np.ndarray:
     """The regularization grid of a sweep: DEFAULT_EPSILONS, or the given values.
 
-    Raises ValueError unless the values form a vector of finite, positive,
-    strictly increasing numbers.
+    Raises ValueError unless the values form a non-empty vector of finite,
+    positive, strictly increasing numbers.
     """
     if epsilons is None:
         return DEFAULT_EPSILONS
     values = np.asarray(epsilons, dtype=float)
-    if (values.ndim != 1 or not np.all(np.isfinite(values))
+    if (values.ndim != 1 or values.size == 0 or not np.all(np.isfinite(values))
             or np.any(values <= 0) or np.any(np.diff(values) <= 0)):
-        raise ValueError("epsilons must be finite, positive and strictly increasing")
+        raise ValueError("epsilons must be non-empty, finite, positive and strictly increasing")
     return values
 
 

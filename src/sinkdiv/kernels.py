@@ -34,7 +34,7 @@ from .errors import (
     NonDifferentiablePointError,
     NotNegatedKernelError,
 )
-from .measures import BoundingBox, _as_points
+from .measures import BoundingBox, _as_points, _check_integer, _positive
 
 # Grid resolution and safety inflation for the numeric Lipschitz bound
 # max |h'(r)| over r in [0, diam].
@@ -326,33 +326,6 @@ class _RadialFunction:
 def _plan_contraction(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_i W_ij (ys_j - xs_i) for each j, as ys_j sum_i W_ij - (W^T xs)_j."""
     return ys * weights.sum(axis=0)[:, None] - weights.T @ xs
-
-
-def _positive(owner: str, name: str, value, squared=False, infinite=False, minimum=None) -> float:
-    """value as a float; ValueError naming the option unless 0 < value < inf (a bool is not).
-
-    The rule of every real option. infinite admits +inf (an epsilon), a
-    minimum replaces 0 < value by minimum <= value (0 for a gradient
-    tolerance), and squared, for a parameter used as its square, requires 0 <
-    value^2 < inf, since its kernel values are NaN or infinite otherwise.
-    """
-    # comparisons with NaN are false, so NaN fails too
-    above = value > 0 if minimum is None else value >= minimum
-    below = value < math.inf or infinite and value == math.inf
-    if isinstance(value, bool) or not (above and below):
-        finite = "" if infinite else "a finite "
-        bound = "> 0" if minimum is None else f">= {minimum}"
-        raise ValueError(f"{owner} requires {finite}{name} {bound}, got {value!r}")
-    if squared and not 0 < float(value) * float(value) < math.inf:
-        raise ValueError(f"{owner} requires {name}^2 to be finite and > 0, got {name} = {value!r}")
-    return float(value)
-
-
-def _check_integer(owner: str, name: str, value, minimum: int) -> int:
-    """value as an int; ValueError naming the option unless an int or numpy integer >= minimum."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValueError(f"{owner} requires an integer {name} >= {minimum}, got {value!r}")
-    return int(value)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,33 @@ def _read_only(array: np.ndarray, given) -> np.ndarray:
     return array
 
 
+def _positive(owner: str, name: str, value, squared=False, infinite=False, minimum=None) -> float:
+    """value as a float; ValueError naming the option unless 0 < value < inf (a bool is not).
+
+    The rule of every real option. infinite admits +inf (an epsilon), a
+    minimum replaces 0 < value by minimum <= value (0 for a gradient
+    tolerance), and squared, for a parameter used as its square, requires 0 <
+    value^2 < inf, since its kernel values are NaN or infinite otherwise.
+    """
+    # comparisons with NaN are false, so NaN fails too
+    above = value > 0 if minimum is None else value >= minimum
+    below = value < math.inf or infinite and value == math.inf
+    if isinstance(value, bool) or not (above and below):
+        finite = "" if infinite else "a finite "
+        bound = "> 0" if minimum is None else f">= {minimum}"
+        raise ValueError(f"{owner} requires {finite}{name} {bound}, got {value!r}")
+    if squared and not 0 < float(value) * float(value) < math.inf:
+        raise ValueError(f"{owner} requires {name}^2 to be finite and > 0, got {name} = {value!r}")
+    return float(value)
+
+
+def _check_integer(owner: str, name: str, value, minimum: int) -> int:
+    """value as an int; ValueError naming the option unless an int or numpy integer >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{owner} requires an integer {name} >= {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class BoundingBox:
     """Axis-aligned compact box [lower_1, upper_1] x ... x [lower_d, upper_d].
@@ -95,11 +122,12 @@ class BoundingBox:
     def grid(self, n_per_axis: int) -> np.ndarray:
         """Regular grid with n_per_axis nodes per axis, endpoints included.
 
-        Rows are ordered row-major (first axis outermost). A grid past the
-        largest array numpy can index raises ValueError (numpy's own errors
-        for such sizes vary with the size).
+        Rows are ordered row-major (first axis outermost); n_per_axis is an
+        integer >= 2, the two ends. A grid past the largest array numpy can
+        index raises ValueError (numpy's own errors for such sizes vary).
         """
-        if int(n_per_axis) ** self.dim * self.dim > np.iinfo(np.intp).max // 8:
+        n_per_axis = _check_integer("BoundingBox.grid", "n_per_axis", n_per_axis, 2)
+        if n_per_axis ** self.dim * self.dim > np.iinfo(np.intp).max // 8:
             raise ValueError(f"a grid of {n_per_axis}^{self.dim} points exceeds the largest array")
         axes = [np.linspace(self.lower[k], self.upper[k], n_per_axis) for k in range(self.dim)]
         mesh = np.meshgrid(*axes, indexing="ij")

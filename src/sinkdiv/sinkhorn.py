@@ -3,7 +3,7 @@
 The softmin half-step, one solve (a safeguarded Anderson-accelerated
 fixed-point loop with an oscillation-norm stopping rule; at epsilon = inf one
 exact closed-form alternation, whose value is the dual value as at every
-epsilon), value/plan/gap extraction and contraction diagnostics. All
+epsilon), value/plan/gap extraction and the contraction bound kappa. All
 exponentials are max-shifted; nothing overflows at either extreme of the
 regularization parameter.
 
@@ -15,6 +15,14 @@ the plain step is proven to, and the plain step taken otherwise (Zhang,
 O'Donoghue & Boyd 2020, SIAM J. Optim. 30). A cross solve stops only once
 its value is also certified within tol of OT_eps. The rule is in
 _fixed_point.
+
+The proven rate is kappa = 1 - exp(-2 span(C) / eps), span(C) = max C - min
+C over the solve's cost matrix: a half-step's Jacobian P is row-stochastic
+with P_ij >= exp(-2 span(C) / eps) P_i'j, so osc(T(psi) - T(psi')) <= kappa
+osc(psi - psi') (Dobrushin; Franklin & Lorenz 1989, Linear Algebra Appl.
+114/115). A cross turn contracts the residual by kappa, an averaged self
+turn by (1 + kappa) / 2. This holds for any cost, and for one L-Lipschitz on
+the box it is never looser than 1 - exp(-2 L diam(box) / eps).
 
 Potentials, unique only up to (phi + c, psi - c), always carry the
 normalization sum_i phi_i mu_i = OT_inf / 2, so potentials at different
@@ -61,9 +69,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteValueError
 from .exact_ot import TransportPlan
-from .kernels import (Cost, _check_integer, _fill_parts, _pool_parts, _positive, _row_blocks,
-                      _run_parts)
-from .measures import DiscreteMeasure, _finite_points
+from .kernels import Cost, _fill_parts, _pool_parts, _row_blocks, _run_parts
+from .measures import DiscreteMeasure, _check_integer, _finite_points, _positive
 
 
 @dataclass(frozen=True)
@@ -115,6 +122,7 @@ class SinkhornSolution:
     `plan` and `duality_gap` are built on first access, together, from the
     potentials and cost_matrix, the cost matrix the solve built and ran on
     (at epsilon = inf the plan is the independent coupling and the gap 0).
+    kappa = 1 - exp(-2 span(cost_matrix) / eps) bounds each half-step's contraction (0 at inf).
     """
 
     potentials: PotentialPair
@@ -242,18 +250,6 @@ def softmin(cost: Cost, m: DiscreteMeasure, phi: np.ndarray, epsilon: float, que
     n = pts.shape[0]
     return _fill_parts(lambda rows: reduce(cost.matrix(pts[rows], m.points)),
                        _row_blocks(n, len(m)), n * len(m), n)
-
-
-def contraction_estimate(cost: Cost, epsilon: float) -> float:
-    """kappa = 1 - exp(-2 L diam / epsilon), the contraction factor of the softmin half-step.
-
-    L is cost.lipschitz and diam is cost.box.diameter. At epsilon = inf, the
-    closed-form step of solve, the half-step maps every potential to the same
-    one up to a constant, so kappa is 0 for every cost, an infinite L included.
-    """
-    _positive("contraction_estimate", "epsilon", epsilon, infinite=True)
-    exponent = 0.0 if math.isinf(epsilon) else -2.0 * cost.lipschitz * cost.box.diameter / epsilon
-    return 1.0 - float(np.exp(exponent))
 
 
 def potential_lipschitz_check(
@@ -393,26 +389,27 @@ def _extrapolate(images: list, deltas: list):
     return images[-1] - gamma @ np.diff(images, axis=0)
 
 
-def _fixed_point(c_matrix, mu, nu, cfg, start, kappa):
-    """Safeguarded Anderson iteration from psi = start; returns phi, psi, iterations, residuals, converged.
+def _fixed_point(c_matrix, mu, nu, cfg, start):
+    """Safeguarded Anderson iteration from psi = start; returns phi, psi, iterations, residuals, converged, kappa.
 
     The rule is set out in solve. Each turn evaluates F at a trial point: the
     plain image of the last kept turn for the first _PLAIN_ITERATIONS turns,
     then the extrapolation from the last _MEMORY + 1 kept turns
-    (_extrapolate). kappa bounds t_nu and t_mu alike, so a plain turn
-    contracts the residual by rate, kappa for a cross and (1 + kappa) / 2
-    for a self problem. An extrapolated trial whose residual exceeds rate
-    times the last kept one is rejected: the memory is cleared and the next
-    trial is the last kept turn's plain image. A self problem stops on the
-    residual alone: its averaged turn builds no pair with one exact
-    marginal whose other marginal comes free. K and whatever the half-steps
-    build from it live only in this frame, so they are released before any
-    plan is extracted.
+    (_extrapolate). kappa, from the span of K that _half_steps returns,
+    bounds t_nu and t_mu alike, so a plain turn contracts the residual by
+    rate, kappa for a cross and (1 + kappa) / 2 for a self problem. An
+    extrapolated trial whose residual exceeds rate times the last kept one
+    is rejected: the memory is cleared and the next trial is the last kept
+    turn's plain image. A self problem stops on the residual alone: its
+    averaged turn builds no pair with one exact marginal whose other
+    marginal comes free. K and whatever the half-steps build from it live
+    only in this frame, so they are released before any plan is extracted.
     """
     eps = cfg.epsilon
     # K is C-contiguous, as _half_steps needs, whatever the layout of C
     t_nu, t_mu, span = _half_steps(np.divide(c_matrix, -eps, order="C"), eps,
                                    _log_weights(mu.weights), _log_weights(nu.weights))
+    kappa = -math.expm1(-2.0 * span)
     self_problem = _is_self_problem(mu, nu)
     rate = 0.5 * (1.0 + kappa) if self_problem else kappa
 
@@ -458,7 +455,7 @@ def _fixed_point(c_matrix, mu, nu, cfg, start, kappa):
             else:
                 trial, extrapolated = point, True
     psi = t_mu(phi) if self_problem else image
-    return phi, psi, iterations, residuals, converged
+    return phi, psi, iterations, residuals, converged, kappa
 
 
 def _finite_vector(values, size: int, name: str) -> np.ndarray:
@@ -487,7 +484,9 @@ def solve(
     are plain, psi <- F(psi); after them each turn tries an Anderson
     extrapolation, kept only if its residual osc(F(psi) - psi) is at most
     kappa (a cross problem) or (1 + kappa) / 2 (a self problem) times the
-    last kept one, else the solve takes the plain step (_fixed_point). It
+    last kept one, else the solve takes the plain step (_fixed_point);
+    kappa = 1 - exp(-2 span(C) / eps) bounds the contraction of osc by a
+    half-step, for any cost (module docstring). It
     stops when that residual is at most tol and, for a cross problem, the
     value is certified within tol of OT_eps from the column sums of
     (T_nu(psi), psi): the residual alone leaves a value error of about half
@@ -521,14 +520,12 @@ def solve(
     row_avg = c_matrix @ w_nu
     # half the independent-coupling cost, the normalization <phi, mu>
     half_ot = 0.5 * float(w_mu @ row_avg)
-    kappa = contraction_estimate(cost, eps)
     if math.isinf(eps):
         phi = row_avg
         psi = c_matrix.T @ w_mu - float(phi @ w_mu)
-        iterations, residuals, converged = 0, [], True
+        iterations, residuals, converged, kappa = 0, [], True, 0.0
     else:
-        phi, psi, iterations, residuals, converged = _fixed_point(
-            c_matrix, mu, nu, cfg, start, kappa)
+        phi, psi, iterations, residuals, converged, kappa = _fixed_point(c_matrix, mu, nu, cfg, start)
 
     delta = half_ot - float(phi @ w_mu)
     phi = phi + delta

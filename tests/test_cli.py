@@ -236,6 +236,8 @@ def _base_config(tmp_path, command, mu, nu):
     ("sweep", "epsilons=[1.0,0.5]", "epsilons"),
     ("sweep", "epsilons=abc", "epsilons"),
     ("sweep", "epsilons=[0.5,NaN]", "epsilons"),
+    # a sweep with no finite epsilon would write only its epsilon = inf row
+    ("sweep", "epsilons=[]", "epsilons"),
     # cost and kernel specs that cannot be built
     ("compute", "cost.variant=Foo", "cost"),
     ("compute", 'cost={"variant":"PowerDistance"}', "cost"),

@@ -208,6 +208,15 @@ def test_fourier_coefficients_basics():
     assert abs(coeffs[1]) <= 1e-14
     assert abs(coeffs[4]) == pytest.approx(1.0, abs=1e-12)
 
+def test_fourier_coefficients_max_freq_zero_is_the_mass():
+    coeffs = fourier_coefficients(uniform(np.array([[0.1], [0.7]])), np.int64(0))
+    assert coeffs.max_freq == 0 and coeffs[0] == pytest.approx(1.0, abs=1e-15)
+
+@pytest.mark.parametrize("max_freq", [-1, 1.5, 2.0, True, "2"])
+def test_fourier_coefficients_require_a_non_negative_integer(max_freq):
+    with pytest.raises(ValueError, match="integer max_freq >= 0"):
+        fourier_coefficients(uniform(np.array([[0.1], [0.7]])), max_freq)
+
 
 # ---------------------------------------------------------------------------
 # halftoning energy

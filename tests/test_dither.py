@@ -420,6 +420,25 @@ def test_accepted_iterates_compute_no_distances(monkeypatch, square, eps):
     assert len(calls) == 1 + 2 * state.energy_evaluations
 
 @pytest.mark.parametrize("eps", [0.15, math.inf])
+def test_gradient_solves_no_target_self_term(monkeypatch, square, eps):
+    # the gradient reads the cross and self plans only; OT_eps(target,
+    # target), constant in the positions, is never solved for it
+    target = sample_grid_density(lambda x: math.exp(-9.0 * float(x @ x) / 2.0), square, 30)
+    rng = np.random.default_rng(17)
+    positions = square.lower + rng.random((50, 2)) * (square.upper - square.lower)
+    cfg = DitherConfig(M=50, epsilon=eps, cost=AbsDistance(square))
+    shapes = []
+
+    def recorded(cost, mu, nu, *args, **kwargs):
+        shapes.append((len(mu), len(nu)))
+        assert not (mu is target and nu is target)
+        return solve(cost, mu, nu, *args, **kwargs)
+
+    monkeypatch.setattr(dither_module, "solve", recorded)
+    gradient(cfg, target, positions)
+    assert shapes == [(900, 50), (50, 50)]
+
+@pytest.mark.parametrize("eps", [0.15, math.inf])
 def test_gradient_matches_pairwise_contraction_of_the_plans(square, eps):
     # the envelope gradient on the criterion-11 target equals the einsum of
     # the per-pair gradients with the cross and self plans

@@ -284,6 +284,10 @@ def test_sweep_rejects_unsorted_grid(unit_box):
     with pytest.raises(ValueError):
         epsilon_sweep(AbsDistance(unit_box), mu, nu, epsilons=[1.0, 0.5])
 
+def test_sweep_rejects_empty_grid(unit_box):
+    with pytest.raises(ValueError, match="non-empty"):
+        epsilon_sweep(AbsDistance(unit_box), dirac([0.1]), dirac([0.9]), epsilons=[])
+
 def test_default_grid_shape():
     assert DEFAULT_EPSILONS.shape == (25,)
     assert DEFAULT_EPSILONS[0] == pytest.approx(1e-4)

@@ -337,6 +337,18 @@ def test_sample_grid_zero_mass(unit_box):
         sample_grid_density(lambda x: 0.0, unit_box, 4)
 
 
+# a grid has a node at each end of every axis, so at least 2 per axis
+@pytest.mark.parametrize("n_per_axis", [0, 1, -1, 2.5, 3.0, True, np.float64(4.0), "3"])
+def test_grid_requires_an_integer_of_at_least_two_per_axis(unit_square, n_per_axis):
+    with pytest.raises(ValueError, match="integer n_per_axis >= 2"):
+        unit_square.grid(n_per_axis)
+    with pytest.raises(ValueError, match="integer n_per_axis >= 2"):
+        sample_grid_density(lambda x: 1.0, unit_square, n_per_axis)
+
+def test_grid_takes_numpy_integers(unit_square):
+    assert np.array_equal(unit_square.grid(np.int64(3)), unit_square.grid(3))
+
+
 # ---------------------------------------------------------------------------
 # file format
 # ---------------------------------------------------------------------------

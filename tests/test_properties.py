@@ -174,3 +174,20 @@ def test_finite_epsilon_reruns_bitwise_and_divergence_non_negative(problem, eps)
     assert np.array_equal(a.potentials.phi, b.potentials.phi)
     assert np.array_equal(a.potentials.psi, b.potentials.psi)
     assert np.array_equal(a.plan.matrix, b.plan.matrix)
+
+
+@FINITE
+@given(problems(), EPSILONS)
+def test_kappa_never_looser_than_the_lipschitz_bound_and_bounds_every_kept_turn(problem, eps):
+    # kappa = 1 - exp(-2 span(C) / eps), and span(C) <= L diam for a cost
+    # that is L-Lipschitz on the box, so the checks that read kappa only get
+    # stricter than with the Lipschitz bound. A residual stalled near 1e-11
+    # at kappa = 1 moves by rounding, an ulp or two of the potentials, hence
+    # the absolute 1e-15
+    cost, mu, nu = problem
+    for a, b in [(mu, nu), (mu, mu)]:
+        sol = solve(cost, a, b, SinkhornConfig(epsilon=eps))
+        assert sol.kappa <= 1.0 - math.exp(-2.0 * cost.lipschitz * cost.box.diameter / eps) + 1e-15
+        rate = 0.5 * (1.0 + sol.kappa) if _is_self_problem(a, b) else sol.kappa
+        hist = sol.residual_history
+        assert np.all(hist[1:] <= (rate + 1e-6) * hist[:-1] + 1e-15)

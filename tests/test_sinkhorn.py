@@ -13,11 +13,11 @@ from sinkdiv import (
     BoundingBox,
     DiscreteMeasure,
     Gaussian,
+    InverseMultiquadric,
     NegatedKernel,
     PotentialPair,
     PowerDistance,
     SinkhornConfig,
-    contraction_estimate,
     dirac,
     epsilon_sweep,
     exact_ot,
@@ -239,7 +239,6 @@ def test_gibbs_solve_peak_memory_within_four_cost_sized_arrays(unit_square):
     array_bytes = n * n * 8
     # O(n) vectors and the allocator's bookkeeping, far below one n x n array
     slack = array_bytes // 8
-    kappa = contraction_estimate(cost, cfg.epsilon)
     for a, b in [(mu, nu), (mu, mu)]:
         c_matrix = cost.matrix(a.points, b.points)
         tracemalloc.start()
@@ -247,7 +246,7 @@ def test_gibbs_solve_peak_memory_within_four_cost_sized_arrays(unit_square):
             solve(cost, a, b, cfg).duality_gap
             _, solve_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            _fixed_point(c_matrix, a, b, cfg, np.zeros(n), kappa)
+            _fixed_point(c_matrix, a, b, cfg, np.zeros(n))
             _, fixed_point_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -824,12 +823,11 @@ def test_solve_on_fortran_ordered_cost_matrix_bitwise_equal(unit_square):
     mu = random_measure(rng, 301, unit_square)
     nu = random_measure(rng, 203, unit_square)
     cfg = SinkhornConfig(epsilon=0.1)
-    kappa = contraction_estimate(cost, cfg.epsilon)
     c_matrix = cost.matrix(mu.points, nu.points)
     start = np.zeros(len(nu))
-    c_order = _fixed_point(c_matrix, mu, nu, cfg, start, kappa)
-    f_order = _fixed_point(np.asfortranarray(c_matrix), mu, nu, cfg, start, kappa)
-    # phi, psi, iterations, residuals, converged
+    c_order = _fixed_point(c_matrix, mu, nu, cfg, start)
+    f_order = _fixed_point(np.asfortranarray(c_matrix), mu, nu, cfg, start)
+    # phi, psi, iterations, residuals, converged, kappa
     assert f_order[0].tobytes() == c_order[0].tobytes()
     assert f_order[1].tobytes() == c_order[1].tobytes()
     assert f_order[2:] == c_order[2:]
@@ -996,24 +994,37 @@ def test_small_epsilon_soft_dual_feasibility(example_pair, unit_box):
 
 
 # ---------------------------------------------------------------------------
-# contraction estimate and half-step regularity
+# contraction bound and half-step regularity
 # ---------------------------------------------------------------------------
 
-def test_contraction_estimate_hand_value():
-    box = BoundingBox(np.array([0.0]), np.array([1.0]))
+def _dirac_against_ends(unit_box, epsilon):
+    # delta_0 against {0, 1} under |x - y|: C = [[0, 1]], so span(C) = 1
+    cost = AbsDistance(unit_box)
+    return solve(cost, dirac([0.0]), uniform([[0.0], [1.0]]), SinkhornConfig(epsilon=epsilon))
 
-    class UnitLipschitz(AbsDistance):
-        def _lipschitz_bound(self):
-            return 1.0
-
-    kappa = contraction_estimate(UnitLipschitz(box), 1.0)
+def test_kappa_hand_value(unit_box):
+    kappa = _dirac_against_ends(unit_box, 1.0).kappa
     assert kappa == pytest.approx(1.0 - math.exp(-2.0), abs=1e-12)
     assert kappa == pytest.approx(0.8646647167633873, abs=1e-12)
 
-def test_contraction_estimate_limits(unit_box):
-    cost = AbsDistance(unit_box)
-    assert contraction_estimate(cost, 1e12) == pytest.approx(0.0, abs=1e-9)
-    assert contraction_estimate(cost, 1e-12) == pytest.approx(1.0, abs=1e-12)
+def test_kappa_limits(unit_box):
+    assert _dirac_against_ends(unit_box, 1e12).kappa == pytest.approx(0.0, abs=1e-9)
+    assert _dirac_against_ends(unit_box, 1e-3).kappa == 1.0
+
+def test_kappa_bounds_near_coincident_pair_whose_lipschitz_grid_reads_zero(unit_square):
+    # the profile drops from 1 to 0 near r = 1e-8, below its Lipschitz grid,
+    # so cost.lipschitz reads 0 and 1 - exp(-2 L diam / eps) would be 0, a
+    # rate that rejects every extrapolation; from span(C) = 1 kappa is about
+    # 1, the solve converges, and every kept residual ratio is within kappa
+    rng = np.random.default_rng(2)
+    mu = random_measure(rng, 30, unit_square)
+    nu = DiscreteMeasure.normalized(mu.points[:25] + 1e-9, rng.random(25) + 1e-3)
+    cost = NegatedKernel(InverseMultiquadric(unit_square, c=1.0, p=1e300))
+    assert solve(cost, mu, nu, SinkhornConfig(epsilon=0.05)).converged
+    sol = solve(cost, mu, nu, SinkhornConfig(epsilon=0.2))
+    hist = sol.residual_history
+    assert sol.converged and 0.0 < sol.kappa < 1.0
+    assert np.all(hist[1:] <= (sol.kappa + 1e-6) * hist[:-1])
 
 def test_half_step_inherits_cost_lipschitz(unit_box):
     rng = np.random.default_rng(7)
@@ -1049,12 +1060,10 @@ def test_half_step_range_bound(unit_box):
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
-def test_softmin_and_contraction_estimate_reject_non_positive_and_nan(unit_box, epsilon):
+def test_softmin_rejects_non_positive_and_nan(unit_box, epsilon):
     cost = AbsDistance(unit_box)
     with pytest.raises(ValueError, match="epsilon"):
         softmin(cost, dirac([0.4]), np.array([0.3]), epsilon, np.array([[0.9]]))
-    with pytest.raises(ValueError, match="epsilon"):
-        contraction_estimate(cost, epsilon)
 
 
 @pytest.mark.parametrize("field, value", [
