@@ -304,6 +304,8 @@ def cmd_potentials(config: dict, allow_partial: bool) -> int:
     solution = solve(cost, mu, nu, _dataclass_config(SinkhornConfig, config))
     status = 0 if solution.converged or allow_partial else 2
     pair = solution.potentials
+    # the solve's cost matrix is released before the witness builds its own
+    del solution
     phi_grid, psi_grid = extend_potentials(cost, mu, nu, pair, grid)
     # a zero discrepancy raises here, before any output is written
     witness = witness_from_limits(kernel, mu, nu, grid)

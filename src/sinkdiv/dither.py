@@ -13,10 +13,12 @@ per plan (Cost.plan_grad_y), with no (n, m, d) gradient array. An energy
 evaluation solves the target-to-positions and positions-to-positions
 problems and keeps the two solutions, each with the cost matrix it solved
 on. Only the accepted iterates, whose gradient is taken, build their dense
-plans, and the contraction reads h'(r)/r from each solution's matrix
-wherever the profile gives it in closed form (1/C for the smoothed distance
-cost that replaces kinked costs, -2h/c^2 for a Gaussian), so an accepted
-iterate computes no distances. Other costs take h'(r)/r from the distances.
+plans; at infinite regularization the plan is the independent coupling,
+contracted from its weights and never built. The contraction reads h'(r)/r
+from each solution's matrix wherever the profile gives it in closed form
+(1/C for the smoothed distance cost that replaces kinked costs, -2h/c^2 for
+a Gaussian), so an accepted iterate computes no distances. Other costs take
+h'(r)/r from the distances.
 
 The public entry points check their inputs once per call: the target
 against the cost's box, and given positions for shape (M, d), finiteness
@@ -25,6 +27,7 @@ energy evaluations inside a run check nothing again.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -172,7 +175,12 @@ def _envelope_gradient(cost: Cost, cross: SinkhornSolution, self_p: SinkhornSolu
     # which give h'(r)/r wherever the profile has it in closed form; other
     # costs recompute the distances.
     def contraction(sol):
-        return cost.plan_grad_y(sol.mu.points, sol.nu.points, sol.plan.matrix, sol.cost_matrix)
+        # the independent coupling at eps = inf is contracted from its weights
+        if math.isinf(sol.potentials.epsilon):
+            plan = (sol.mu.weights, sol.nu.weights)
+        else:
+            plan = sol.plan.matrix
+        return cost.plan_grad_y(sol.mu.points, sol.nu.points, plan, sol.cost_matrix)
 
     # exp((phi + psi - C) / eps) overflows in the plans once eps is below the
     # rounding of the potentials (at about 1e-20 on a box of diameter 1)

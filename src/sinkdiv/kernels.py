@@ -6,6 +6,15 @@ conditionally-positive-definite anchor shift, the spectral kernel on the
 1-torus, and an empirical positive-definiteness check. Costs mirror the same
 machinery; a kernel K can be used as the cost c = -K.
 
+Every cost and Gram matrix starts from squared_distances, which fills a
+fresh (n, m) array in place with fl(x_ik - y_jk)^2 summed in coordinate
+order, the same bits for (x, y) as for (y, x). The profile then overwrites
+that block. The Gaussian, inverse multiquadric and smoothed distance read
+s directly (exp(-s/c^2), (c^2 + s)^-p, -sqrt(c^2 + s)), one rounding fewer
+than their earlier formulas in r = sqrt(s), so their matrices and those of
+the wrappers built on them moved at rounding level; every other profile
+takes r = sqrt(s) in place and keeps the bits of pairwise_distances.
+
 An n x m Gram or cost matrix is filled one row block at a time (_row_blocks):
 the distances, the profile, a NegatedKernel's negation and a CpdShifted
 anchor shift all run on a block that stays in L2 cache, and only the finished
@@ -161,14 +170,16 @@ def _run_parts(task, parts: list, cells: int) -> None:
         helper.result()
 
 
-def pairwise_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix, entry (i, j) = ||xs_i - ys_j||.
+def squared_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance matrix, entry (i, j) = ||xs_i - ys_j||^2.
 
-    Computed from coordinate differences so that D[i, j] and the transposed
-    evaluation agree bitwise. The squared differences are accumulated one
-    coordinate at a time, in coordinate order, so no (n, m, d) tensor is
-    built; for d <= 8 that order is numpy's own sum over a short last axis,
-    and the bits match the tensor formula.
+    Built in place, one coordinate k at a time: x_k is broadcast down a
+    fresh (n, m) buffer, y_k is subtracted in place (a contiguous pass along
+    each row), the difference is squared in place and added to the sum in
+    coordinate order. Every entry is fl(x_ik - y_jk)^2 summed in order, the
+    bits of numpy's own sum of the squared (n, m, d) difference tensor for
+    d <= 8, and fl(y - x)^2 = fl(x - y)^2, so S[i, j] and the transposed
+    evaluation agree bitwise. At most two (n, m) arrays are live.
     """
     xs = _as_points(xs)
     ys = _as_points(ys)
@@ -176,11 +187,24 @@ def pairwise_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"point sets have dimensions {xs.shape[1]} and {ys.shape[1]}"
         )
-    sq = np.subtract.outer(xs[:, 0], ys[:, 0])
-    sq *= sq
-    for k in range(1, xs.shape[1]):
-        diff = np.subtract.outer(xs[:, k], ys[:, k])
-        sq += np.multiply(diff, diff, out=diff)
+    shape = (xs.shape[0], ys.shape[0])
+    sq = np.empty(shape)
+    diff = np.empty(shape) if xs.shape[1] > 1 else None
+    # coordinates of ys as contiguous rows, one (m,) vector per k
+    ys_t = ys.T.copy()
+    for k in range(xs.shape[1]):
+        out = diff if k else sq
+        np.copyto(out, xs[:, k, None])
+        out -= ys_t[k]
+        out *= out
+        if k:
+            sq += out
+    return sq
+
+
+def pairwise_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrix, entry (i, j) = ||xs_i - ys_j||: squared_distances' square root."""
+    sq = squared_distances(xs, ys)
     return np.sqrt(sq, out=sq)
 
 
@@ -233,10 +257,11 @@ class _RadialFunction:
         self.box = box
         self.lipschitz = self._lipschitz_bound()
 
-    # profile h and its derivative h', vectorized over r >= 0
-    def _profile(self, r):
+    def _profile(self, s):
+        """The profile on a fresh block s of squared distances, which it may overwrite."""
         raise NotImplementedError
 
+    # h' of the profile h(r), vectorized over r >= 0
     def _profile_deriv(self, r):
         raise NotImplementedError
 
@@ -257,8 +282,8 @@ class _RadialFunction:
         return float(self.gram(x[None], y[None])[0, 0])
 
     def _gram_block(self, xs, ys) -> np.ndarray:
-        """Evaluations on one row block; gram runs it block by block."""
-        return self._profile(pairwise_distances(xs, ys))
+        """Evaluations on one row block, a fresh array; gram runs it block by block."""
+        return self._profile(squared_distances(xs, ys))
 
     def gram(self, xs, ys) -> np.ndarray:
         """Matrix of evaluations, row-major over xs (outer) and ys (inner)."""
@@ -305,8 +330,10 @@ class _RadialFunction:
     def plan_grad_y(self, xs, ys, plan, values=None) -> np.ndarray:
         """sum_i plan_ij grad_y k(xs_i, ys_j) for each j, shape (m, d).
 
-        With W = plan * h'(r)/r this is ys_j sum_i W_ij - (W^T xs)_j: one
-        n x m array and one matrix product, no (n, m, d) gradients.
+        plan is the (n, m) plan, or the pair (a, b) of weights of the
+        independent coupling a b^T, which is then never built. The sum is
+        one n x m factor h'(r)/r and one matrix product (_plan_contraction),
+        no (n, m, d) gradients.
 
         values, if given, is this function's own matrix at (xs, ys), as
         gram or matrix builds it. A profile with a closed form of h'(r)/r in
@@ -319,13 +346,22 @@ class _RadialFunction:
         weights = None if values is None else self._scale_from_values(values)
         if weights is None:
             weights = self._grad_scale(pairwise_distances(xs, ys))
-        weights *= plan
-        return _plan_contraction(xs, ys, weights)
+        return _plan_contraction(xs, ys, weights, plan)
 
 
-def _plan_contraction(xs: np.ndarray, ys: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_i W_ij (ys_j - xs_i) for each j, as ys_j sum_i W_ij - (W^T xs)_j."""
-    return ys * weights.sum(axis=0)[:, None] - weights.T @ xs
+def _plan_contraction(xs: np.ndarray, ys: np.ndarray, scale: np.ndarray, plan) -> np.ndarray:
+    """sum_i P_ij S_ij (ys_j - xs_i) for each j, S the factor h'(r)/r, which is overwritten.
+
+    A dense plan P is folded into W = P * S, giving ys_j sum_i W_ij - (W^T xs)_j.
+    The independent coupling P = a b^T, given as (a, b), gives
+    b_j (ys_j (S^T a)_j - (S^T (a * xs))_j) from one product S^T [a, a * xs].
+    """
+    if isinstance(plan, tuple):
+        a, b = plan
+        sums = scale.T @ np.column_stack((a, a[:, None] * xs))
+        return b[:, None] * (ys * sums[:, :1] - sums[:, 1:])
+    scale *= plan
+    return ys * scale.sum(axis=0)[:, None] - scale.T @ xs
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +381,14 @@ class Gaussian(Kernel):
 
     def __init__(self, box: BoundingBox, c: float = 1.0):
         self.c = _positive("Gaussian", "c", c, squared=True)
+        # h'(r)/r = -2 h / c^2 is -2 / c^2 at r = 0
+        if not 2.0 / (self.c * self.c) < math.inf:
+            raise ValueError(f"Gaussian requires 2 / c^2 to be finite, got c = {c!r}")
         super().__init__(box)
 
-    def _profile(self, r):
-        return np.exp(-(r * r) / (self.c * self.c))
+    def _profile(self, s):
+        np.divide(s, -(self.c * self.c), out=s)
+        return np.exp(s, out=s)
 
     def _profile_deriv(self, r):
         return -2.0 * r / (self.c * self.c) * np.exp(-(r * r) / (self.c * self.c))
@@ -376,8 +416,10 @@ class InverseMultiquadric(Kernel):
                                  f"got c = {c!r}, p = {p!r}")
         super().__init__(box)
 
-    def _profile(self, r):
-        return (self.c * self.c + r * r) ** (-self.p)
+    def _profile(self, s):
+        s += self.c * self.c
+        s **= -self.p
+        return s
 
     def _profile_deriv(self, r):
         return -2.0 * self.p * r * (self.c * self.c + r * r) ** (-self.p - 1.0)
@@ -396,8 +438,12 @@ class WendlandPower(Kernel):
         self.p = _positive(f"WendlandPower in dimension {box.dim}", "p", p, minimum=box.dim // 2 + 1)
         super().__init__(box)
 
-    def _profile(self, r):
-        return np.maximum(1.0 - r, 0.0) ** self.p
+    def _profile(self, s):
+        r = np.sqrt(s, out=s)
+        np.subtract(1.0, r, out=r)
+        np.maximum(r, 0.0, out=r)
+        r **= self.p
+        return r
 
     def _profile_deriv(self, r):
         r = np.asarray(r, dtype=float)
@@ -414,8 +460,9 @@ class NegativeDistance(Kernel):
     variant = "NegativeDistance"
     smooth_at_zero = False
 
-    def _profile(self, r):
-        return -np.asarray(r, dtype=float)
+    def _profile(self, s):
+        r = np.sqrt(s, out=s)
+        return np.negative(r, out=r)
 
     def _profile_deriv(self, r):
         return -np.ones_like(np.asarray(r, dtype=float))
@@ -435,10 +482,14 @@ class ShiftedNegativeDistance(Kernel):
         if C is None:
             C = 2.0 * box.diameter
         self.C = _positive("ShiftedNegativeDistance", "C", C)
+        # a discrepancy adds two Gram double sums, each up to C
+        if not 2.0 * self.C < math.inf:
+            raise ValueError(f"ShiftedNegativeDistance requires 2 C to be finite, got C = {C!r}")
         super().__init__(box)
 
-    def _profile(self, r):
-        return self.C - np.asarray(r, dtype=float)
+    def _profile(self, s):
+        r = np.sqrt(s, out=s)
+        return np.subtract(self.C, r, out=r)
 
     def _profile_deriv(self, r):
         return -np.ones_like(np.asarray(r, dtype=float))
@@ -456,8 +507,10 @@ class SmoothedNegativeDistance(Kernel):
         self.c = _positive("SmoothedNegativeDistance", "c", c, squared=True)
         super().__init__(box)
 
-    def _profile(self, r):
-        return -np.sqrt(self.c * self.c + r * r)
+    def _profile(self, s):
+        s += self.c * self.c
+        np.sqrt(s, out=s)
+        return np.negative(s, out=s)
 
     def _profile_deriv(self, r):
         return -r / np.sqrt(self.c * self.c + r * r)
@@ -486,8 +539,9 @@ class CpdShifted(Kernel):
             raise DimensionMismatchError(
                 f"anchor dimension {u.shape[0]} != box dimension {base.box.dim}"
             )
-        if not np.all(np.isfinite(u)):
-            raise ValueError(f"CpdShifted requires a finite anchor, got {u.tolist()}")
+        # written so that NaN fails too
+        if not np.all((base.box.lower <= u) & (u <= base.box.upper)):
+            raise ValueError(f"CpdShifted requires an anchor inside the box, got {u.tolist()}")
         u.flags.writeable = False
         self.anchor = u
         self._kuu = base.eval(u, u)
@@ -503,7 +557,10 @@ class CpdShifted(Kernel):
         # bitwise symmetric in (x, y)
         u = self.anchor[None, :]
         base = self.base._gram_block
-        return (base(xs, ys) + self._kuu) - (base(u, ys) + base(xs, u))
+        block = base(xs, ys)
+        block += self._kuu
+        block -= base(u, ys) + base(xs, u)
+        return block
 
     # defined again here and in NegatedKernel: perfbench/spans.py wraps gram
     # on each class that defines its own evaluation
@@ -519,8 +576,11 @@ class CpdShifted(Kernel):
         # sums; the shifted matrix does not give the base kernel's values,
         # so values is not read and the distance route runs
         u = self.anchor[None, :]
-        return (self.base.plan_grad_y(xs, ys, plan)
-                - self.base.plan_grad_y(u, ys, plan.sum(axis=0)[None, :]))
+        if isinstance(plan, tuple):
+            sums = (plan[0].sum(keepdims=True), plan[1])
+        else:
+            sums = plan.sum(axis=0)[None, :]
+        return self.base.plan_grad_y(xs, ys, plan) - self.base.plan_grad_y(u, ys, sums)
 
     def params(self):
         return {
@@ -546,6 +606,13 @@ class SpectralKernel(Kernel):
         # written so that NaN fails too
         if not np.all((a >= 0) & (a < math.inf)):
             raise ValueError("SpectralKernel requires finite non-negative alpha")
+        # K(x, x) = alpha_0 + 2 sum alpha_k is the largest value, and a
+        # discrepancy adds two Gram double sums of up to that
+        with np.errstate(over="ignore"):
+            top = 2.0 * (a[0] + 2.0 * a[1:].sum())
+        if not top < math.inf:
+            raise ValueError(f"SpectralKernel requires 2 K(x, x) = 2 (alpha_0 + 2 sum alpha_k) "
+                             f"to be finite, got alpha = {a.tolist()}")
         a.flags.writeable = False
         self.alpha = a
         if box is None:
@@ -558,11 +625,15 @@ class SpectralKernel(Kernel):
     def max_freq(self) -> int:
         return self.alpha.shape[0] - 1
 
-    def _profile(self, r):
-        r = np.asarray(r, dtype=float)
+    def _profile(self, s):
+        r = np.sqrt(s, out=s)
         out = np.full_like(r, self.alpha[0])
+        term = np.empty_like(r)
         for k in range(1, self.alpha.shape[0]):
-            out = out + 2.0 * self.alpha[k] * np.cos(2.0 * np.pi * k * r)
+            np.multiply(2.0 * np.pi * k, r, out=term)
+            np.cos(term, out=term)
+            term *= 2.0 * self.alpha[k]
+            out += term
         return out
 
     def _profile_deriv(self, r):
@@ -605,8 +676,8 @@ class AbsDistance(Cost):
     variant = "AbsDistance"
     smooth_at_zero = False
 
-    def _profile(self, r):
-        return np.asarray(r, dtype=float)
+    def _profile(self, s):
+        return np.sqrt(s, out=s)
 
     def _profile_deriv(self, r):
         return np.ones_like(np.asarray(r, dtype=float))
@@ -622,8 +693,10 @@ class PowerDistance(Cost):
         self.smooth_at_zero = self.p > 1
         super().__init__(box)
 
-    def _profile(self, r):
-        return np.asarray(r, dtype=float) ** self.p
+    def _profile(self, s):
+        r = np.sqrt(s, out=s)
+        r **= self.p
+        return r
 
     def _profile_deriv(self, r):
         # 0**0 = 1 gives the correct h'(0) = p for p = 1; p < 1 yields inf there
@@ -648,7 +721,8 @@ class NegatedKernel(Cost):
         return self.kernel.lipschitz
 
     def _gram_block(self, xs, ys) -> np.ndarray:
-        return -self.kernel._gram_block(xs, ys)
+        block = self.kernel._gram_block(xs, ys)
+        return np.negative(block, out=block)
 
     def gram(self, xs, ys) -> np.ndarray:
         return _by_row_blocks(self._gram_block, xs, ys)
@@ -662,8 +736,7 @@ class NegatedKernel(Cost):
         weights = None if values is None else self.kernel._scale_from_values(values)
         if weights is None:
             return -self.kernel.plan_grad_y(xs, ys, plan)
-        weights *= plan
-        return _plan_contraction(_as_points(xs), _as_points(ys), weights)
+        return _plan_contraction(_as_points(xs), _as_points(ys), weights, plan)
 
     def params(self):
         return {"kernel": {"variant": self.kernel.variant, "params": self.kernel.params()}}

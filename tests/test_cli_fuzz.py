@@ -23,6 +23,7 @@ from sinkdiv.cli import _PATH_KEYS, _SCHEMAS, main
 BOX = {"lower": [0.0], "upper": [1.0]}
 ABS = {"variant": "AbsDistance"}
 GAUSS = {"variant": "Gaussian", "params": {"c": 0.5}}
+SMOOTHED = {"variant": "SmoothedNegativeDistance", "params": {"c": 0.05}}
 PAIR = {"mu": "mu.txt", "nu": "nu.txt", "box": BOX}
 FILES = {"mu.txt": "0.5,0.1\n0.5,0.9\n", "nu.txt": "0.5,0.2\n0.5,0.7\n",
          "target.txt": "".join(f"1,{k / 19}\n" for k in range(20))}
@@ -49,6 +50,30 @@ ODD_VALUES = [True, False, None, math.nan, math.inf, -math.inf, 1e300, -1e300, 1
 MALFORMED_FILES = ["", "# a comment only\n", "0.5,abc\n", "nan,0.5\n", "0.5\n",
                    "0.5,0.1\n0.5,0.2,0.3\n", "-1,0.5\n", "0,0.5\n", "1,2\n", "1,0.5,0.5\n",
                    "1e309,0.5\n", "1,nan\n", b"\xff\xfe\x00 not text\n"]
+# every nested params entry of every kernel and cost variant, as (config key,
+# variant, valid params, the entry set to an odd value); each kernel runs
+# through compute discrepancy, and as the cost -K through s_eps and dither
+KERNEL_PARAMS = [
+    ("Gaussian", {"c": 0.5}, "c"),
+    ("InverseMultiquadric", {"c": 0.5, "p": 0.5}, "c"),
+    ("InverseMultiquadric", {"c": 0.5, "p": 0.5}, "p"),
+    ("WendlandPower", {"p": 1}, "p"),
+    ("ShiftedNegativeDistance", {"C": 2.0}, "C"),
+    ("SmoothedNegativeDistance", {"c": 0.05}, "c"),
+    ("CpdShifted", {"base": SMOOTHED, "anchor": [0.5]}, "base"),
+    ("CpdShifted", {"base": SMOOTHED, "anchor": [0.5]}, "anchor"),
+    ("SpectralKernel", {"alpha": [1.0, 0.5]}, "alpha"),
+]
+COST_PARAMS = [
+    ("PowerDistance", {"p": 2.0}, "p"),
+    ("NegatedKernel", {"kernel": GAUSS}, "kernel"),
+]
+PARAM_CASES = (
+    [(base, variant, params, name) for variant, params, name in KERNEL_PARAMS
+     for base in ("discrepancy", "s_eps", "dither")]
+    + [(base, variant, params, name) for variant, params, name in COST_PARAMS
+       for base in ("s_eps", "dither")]
+)
 # the measure file each base reads first
 MEASURE_KEY = {name: "target" if command == "dither" else "mu"
                for name, (command, _) in BASES.items()}
@@ -136,3 +161,26 @@ def test_malformed_measure_file(base, text):
     name = config[MEASURE_KEY[base]]
     code, err, written = _run(command, config, {**FILES, name: text})
     _assert_contract(code, err, written, [name])
+
+
+@pytest.mark.filterwarnings("ignore:target has:UserWarning")
+@pytest.mark.parametrize("base, variant, params, name", PARAM_CASES,
+                         ids=[f"{base}-{variant}.{name}" for base, variant, params, name in PARAM_CASES])
+@FUZZ
+@given(value=st.sampled_from(ODD_VALUES))
+# a shift whose Gram double sums overflowed gave a NaN discrepancy
+@example(value=1e308)
+# a Gaussian width with a subnormal square warned on overflow
+@example(value=1e-160)
+# an anchor outside the box warned on overflow and gave a NaN discrepancy
+@example(value=[1e308])
+def test_odd_kernel_or_cost_parameter(base, variant, params, name, value):
+    command, config = BASES[base]
+    spec = {"variant": variant, "params": {**params, name: value}}
+    key = "kernel" if base == "discrepancy" else "cost"
+    if key == "cost" and variant not in ("PowerDistance", "NegatedKernel"):
+        spec = {"variant": "NegatedKernel", "params": {"kernel": spec}}
+    code, err, written = _run(command, {**config, key: spec}, FILES)
+    # the message may name the variant, as a kernel without a gradient at
+    # coincident points does when dithering
+    _assert_contract(code, err, written, [key, name, variant])

@@ -8,10 +8,13 @@ import pytest
 from sinkdiv import (
     AbsDistance,
     BoundingBox,
+    CpdShifted,
     DiscreteMeasure,
+    Gaussian,
     NegatedKernel,
     PowerDistance,
     SinkhornConfig,
+    SinkhornSolution,
     SmoothedNegativeDistance,
     discrepancy,
     dither,
@@ -402,19 +405,20 @@ def test_energy_evaluations_count_cross_solves(monkeypatch, square, eps):
 
 @pytest.mark.parametrize("eps", [0.5, math.inf])
 def test_accepted_iterates_compute_no_distances(monkeypatch, square, eps):
-    # one distance matrix for the target's self term and one per cost matrix
-    # of an energy evaluation; the gradient reads the evaluation's matrices
+    # one squared-distance matrix for the target's self term and one per cost
+    # matrix of an energy evaluation; the gradient reads the evaluation's
+    # matrices (pairwise_distances, the distance route, would count too)
     target = sample_grid_density(lambda x: math.exp(-9.0 * float(x @ x) / 2.0), square, 16)
     assert len(target) <= 256  # each matrix is one row block
     cfg = DitherConfig(M=5, epsilon=eps, cost=AbsDistance(square), seed=3, max_outer_iter=12)
     calls = []
-    distances = kernels.pairwise_distances
+    distances = kernels.squared_distances
 
     def counted(xs, ys):
         calls.append(1)
         return distances(xs, ys)
 
-    monkeypatch.setattr(kernels, "pairwise_distances", counted)
+    monkeypatch.setattr(kernels, "squared_distances", counted)
     state = dither(cfg, target)
     assert len(state.trace) > 1
     assert len(calls) == 1 + 2 * state.energy_evaluations
@@ -437,6 +441,31 @@ def test_gradient_solves_no_target_self_term(monkeypatch, square, eps):
     monkeypatch.setattr(dither_module, "solve", recorded)
     gradient(cfg, target, positions)
     assert shapes == [(900, 50), (50, 50)]
+
+@pytest.mark.parametrize("make_cost", [
+    AbsDistance,
+    lambda box: NegatedKernel(Gaussian(box, c=0.5)),
+    lambda box: NegatedKernel(CpdShifted(SmoothedNegativeDistance(box, c=0.05), box.lower)),
+    lambda box: PowerDistance(box, p=2.0),
+], ids=["smoothed distance", "Gaussian", "CpdShifted", "PowerDistance"])
+def test_infinite_epsilon_gradient_builds_no_plan(monkeypatch, square, make_cost):
+    # the independent couplings are contracted from the weights: the factor
+    # from the cost matrix (smoothed distance, Gaussian), the anchor shift's
+    # column sums, and the distance route; no solution's plan is read
+    target = sample_grid_density(lambda x: math.exp(-9.0 * float(x @ x) / 2.0), square, 12)
+    rng = np.random.default_rng(19)
+    positions = square.lower + rng.random((20, 2)) * (square.upper - square.lower)
+    cfg = DitherConfig(M=20, epsilon=math.inf, cost=make_cost(square))
+    cost, nu_p = resolve_cost(cfg), uniform(positions)
+    ref = (cost.plan_grad_y(target.points, positions, np.outer(target.weights, nu_p.weights))
+           - cost.plan_grad_y(positions, positions, np.outer(nu_p.weights, nu_p.weights)))
+
+    def no_plan(self):
+        raise AssertionError("a dense plan was built")
+
+    monkeypatch.setattr(SinkhornSolution, "plan", property(no_plan))
+    got = gradient(cfg, target, positions)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 @pytest.mark.parametrize("eps", [0.15, math.inf])
 def test_gradient_matches_pairwise_contraction_of_the_plans(square, eps):

@@ -1,5 +1,6 @@
 """Kernel/cost zoo: evaluations, gradients, Lipschitz metadata, definiteness."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,12 +19,13 @@ from sinkdiv import (
     SpectralKernel,
     WendlandPower,
     cost_from_spec,
+    discrepancy,
     empirical_pd_check,
     kernel_from_spec,
 )
 from sinkdiv.errors import NonDifferentiablePointError, NotNegatedKernelError
 from sinkdiv import kernels
-from sinkdiv.kernels import _row_blocks, kernel_for_cost, pairwise_distances
+from sinkdiv.kernels import _row_blocks, kernel_for_cost, pairwise_distances, squared_distances
 
 
 def all_kernels(box):
@@ -226,12 +228,27 @@ def test_plan_grad_from_values_reads_no_distances_for_closed_forms(monkeypatch, 
         values = k.gram(xs, ys)
         kept = values.copy()
         calls = []
-        monkeypatch.setattr(kernels, "pairwise_distances",
-                            lambda a, b: calls.append(1) or pairwise_distances(a, b))
+        monkeypatch.setattr(kernels, "squared_distances",
+                            lambda a, b: calls.append(1) or squared_distances(a, b))
         k.plan_grad_y(xs, ys, plan, values)
         monkeypatch.undo()
         assert calls == [], type(k).__name__
         assert np.array_equal(values, kept)
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_plan_grad_of_the_independent_coupling_from_its_weights(d):
+    # the coupling a b^T given as (a, b) is contracted without building it
+    box = BoundingBox(np.zeros(d), np.full(d, 2.0))
+    rng = np.random.default_rng(59 + d)
+    xs, ys = 2.0 * rng.random((9, d)), 2.0 * rng.random((6, d))
+    a, b = rng.random(9), rng.random(6)
+    a, b = a / a.sum(), b / b.sum()
+    for k in _contraction_variants(box):
+        ref = _plan_contraction(k, xs, ys, np.outer(a, b))
+        for values in (None, k.gram(xs, ys)):
+            got = k.plan_grad_y(xs, ys, (a, b), values)
+            assert got.shape == ys.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), type(k).__name__
 
 def test_plan_grad_wendland_zero_beyond_support():
     box = BoundingBox(np.zeros(2), np.full(2, 4.0))
@@ -503,10 +520,37 @@ def test_pairwise_distances_bitwise_tensor_formula_and_transpose(d):
     xs = rng.random((23, d)) * 2.0 - 1.0
     ys = rng.random((17, d)) * 2.0 - 1.0
     diff = xs[:, None, :] - ys[None, :, :]
-    tensor = np.sqrt(np.sum(diff * diff, axis=2))
+    tensor = np.sum(diff * diff, axis=2)
+    assert np.array_equal(squared_distances(xs, ys), tensor)
+    assert np.array_equal(squared_distances(ys, xs).T, tensor)
     dist = pairwise_distances(xs, ys)
-    assert np.array_equal(dist, tensor)
+    assert np.array_equal(dist, np.sqrt(tensor))
     assert np.array_equal(pairwise_distances(ys, xs).T, dist)
+
+
+def _build_peak(k, xs, ys) -> float:
+    """Peak traced memory of one matrix build, in arrays of the matrix's size."""
+    k.gram(xs, ys)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        k.gram(xs, ys)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * xs.shape[0] * ys.shape[0])
+
+def test_matrix_build_peaks_near_two_matrix_sized_arrays(unit_square):
+    # dither's 900 x 50 cost matrix, one row block: the squared distances and
+    # one coordinate's differences, then the profile and any negation in
+    # place, plus numpy's 64 KiB ufunc buffer (0.18 of the matrix here).
+    # CpdShifted adds the sum of its two anchor terms, one more array.
+    rng = np.random.default_rng(61)
+    xs, ys = rng.random((900, 2)), rng.random((50, 2))
+    assert len(_row_blocks(900, 50)) == 1
+    for k in _contraction_variants(unit_square):
+        bound = 2.4 if isinstance(getattr(k, "kernel", k), CpdShifted) else 2.25
+        assert _build_peak(k, xs, ys) <= bound, type(getattr(k, "kernel", k)).__name__
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("build, name", [
@@ -549,6 +593,35 @@ def test_inverse_multiquadric_power_not_finite_and_positive_raises_naming_c_and_
 def test_spectral_kernel_rejects_malformed_alpha(alpha):
     with pytest.raises(ValueError, match=r"\balpha\b"):
         SpectralKernel(alpha)
+
+def test_shifted_negative_distance_rejects_a_shift_whose_double_overflows(unit_box, example_pair):
+    # a discrepancy adds two Gram double sums of about C each: at C = 1e308
+    # they overflowed and the discrepancy was NaN
+    with pytest.raises(ValueError, match=r"\bC\b"):
+        ShiftedNegativeDistance(unit_box, C=1e308)
+    assert math.isfinite(discrepancy(ShiftedNegativeDistance(unit_box, C=8e307),
+                                     *example_pair).squared)
+
+def test_gaussian_rejects_a_width_whose_gradient_factor_overflows(unit_box):
+    # h'(r)/r = -2 h / c^2 is -2 / c^2 at r = 0; c = 1e-160 has a subnormal
+    # square, 2 / c^2 is infinite, and the build warned on overflow
+    with pytest.raises(ValueError, match=r"\bc = 1e-160"):
+        Gaussian(unit_box, c=1e-160)
+    Gaussian(unit_box, c=1e-150)
+
+@pytest.mark.parametrize("anchor", [[1e308], [1.5], [-1e-9]])
+def test_cpd_shift_rejects_an_anchor_outside_the_box(unit_box, anchor):
+    # the anchor is a point of the box; at 1e308 its squared distances
+    # overflowed and the discrepancy was NaN
+    with pytest.raises(ValueError, match=r"\banchor\b"):
+        CpdShifted(NegativeDistance(unit_box), anchor=anchor)
+
+def test_spectral_kernel_rejects_alpha_whose_diagonal_doubled_overflows():
+    # K(x, x) = alpha_0 + 2 sum alpha_k is the largest value of the kernel
+    with pytest.raises(ValueError, match=r"\balpha\b"):
+        SpectralKernel([1.0, 1e308])
+    with pytest.raises(ValueError, match=r"\balpha\b"):
+        SpectralKernel([1e308])
 
 def test_wendland_dimension_guard():
     box = BoundingBox(np.zeros(4), np.ones(4))

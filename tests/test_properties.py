@@ -10,10 +10,17 @@ from hypothesis.extra.numpy import arrays
 from sinkdiv import (
     AbsDistance,
     BoundingBox,
+    CpdShifted,
     DiscreteMeasure,
     Gaussian,
+    InverseMultiquadric,
     NegatedKernel,
+    NegativeDistance,
     PowerDistance,
+    ShiftedNegativeDistance,
+    SmoothedNegativeDistance,
+    SpectralKernel,
+    WendlandPower,
     SinkhornConfig,
     exact_ot,
     ot_infinity,
@@ -21,6 +28,7 @@ from sinkdiv import (
     sinkhorn_divergence,
     solve,
 )
+from sinkdiv.kernels import pairwise_distances, squared_distances
 from sinkdiv.sinkhorn import _is_self_problem
 
 BOXES = {dim: BoundingBox(np.zeros(dim), np.ones(dim)) for dim in (1, 2)}
@@ -191,3 +199,114 @@ def test_kappa_never_looser_than_the_lipschitz_bound_and_bounds_every_kept_turn(
         rate = 0.5 * (1.0 + sol.kappa) if _is_self_problem(a, b) else sol.kappa
         hist = sol.residual_history
         assert np.all(hist[1:] <= (rate + 1e-6) * hist[:-1] + 1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the bits of cost and Gram matrices
+# ---------------------------------------------------------------------------
+
+# profiles written in the squared distance s, read from it directly
+S_ROUTE = (Gaussian, InverseMultiquadric, SmoothedNegativeDistance)
+
+
+def _bit_variants(dim):
+    """Every kernel and cost variant on the unit box, the wrappers included."""
+    box = BoundingBox(np.zeros(dim), np.ones(dim))
+    kernels = [
+        Gaussian(box, c=0.5), InverseMultiquadric(box, c=0.5, p=1.5),
+        WendlandPower(box, p=dim // 2 + 1.5), NegativeDistance(box),
+        ShiftedNegativeDistance(box), SmoothedNegativeDistance(box, c=0.05),
+        CpdShifted(NegativeDistance(box), box.lower), CpdShifted(Gaussian(box, c=0.5), box.upper / 2),
+    ]
+    if dim == 1:
+        kernels.append(SpectralKernel([1.0, 0.5, 0.25], box))
+    costs = [AbsDistance(box), PowerDistance(box, p=0.5), PowerDistance(box, p=1.5),
+             PowerDistance(box, p=2.0)]
+    return kernels + costs + [NegatedKernel(k) for k in kernels]
+
+
+BIT_VARIANTS = {dim: _bit_variants(dim) for dim in (1, 2, 3)}
+
+
+def _profile_of_distances(k, r):
+    """The profile h written on the distances r."""
+    if isinstance(k, Gaussian):
+        return np.exp(-(r * r) / (k.c * k.c))
+    if isinstance(k, InverseMultiquadric):
+        return (k.c * k.c + r * r) ** (-k.p)
+    if isinstance(k, SmoothedNegativeDistance):
+        return -np.sqrt(k.c * k.c + r * r)
+    if isinstance(k, WendlandPower):
+        return np.maximum(1.0 - r, 0.0) ** k.p
+    if isinstance(k, NegativeDistance):
+        return -r
+    if isinstance(k, ShiftedNegativeDistance):
+        return k.C - r
+    if isinstance(k, SpectralKernel):
+        out = np.full_like(r, k.alpha[0])
+        for f in range(1, k.alpha.shape[0]):
+            out = out + 2.0 * k.alpha[f] * np.cos(2.0 * np.pi * f * r)
+        return out
+    if isinstance(k, PowerDistance):
+        return r ** k.p
+    assert isinstance(k, AbsDistance)
+    return r
+
+
+def _reference(k, xs, ys):
+    """(h(pairwise_distances), tol): the matrix from the distances, and how far k may be from it.
+
+    The r-route variants take r = sqrt(s) and keep its bits (tol 0). An
+    s-route profile is evaluated at s itself, the distance route at
+    fl(fl(sqrt(s))^2), which is within 1.5 ulp of s; with the rounding of the
+    profile's own operations on both sides that is within 4 ulp of s times
+    |dh/ds| = |h'(r)| / (2 r), plus 4 ulp of h.
+    """
+    if isinstance(k, NegatedKernel):
+        values, tol = _reference(k.kernel, xs, ys)
+        return -values, tol
+    if isinstance(k, CpdShifted):
+        u = k.anchor[None, :]
+        (kxy, t_xy), (kuu, _), (kuy, t_uy), (kxu, t_xu) = (
+            _reference(k.base, a, b) for a, b in ((xs, ys), (u, u), (u, ys), (xs, u)))
+        values = (kxy + kuu[0, 0]) - (kuy + kxu)
+        tol = t_xy + t_uy + t_xu
+        if np.any(tol):
+            # the shift's two sums and difference, rounded in each route
+            tol = tol + 4 * np.spacing(np.abs(kxy) + np.abs(kuu[0, 0]) + np.abs(kuy) + np.abs(kxu))
+        return values, tol
+    r = pairwise_distances(xs, ys)
+    values = _profile_of_distances(k, r)
+    if not isinstance(k, S_ROUTE):
+        return values, np.zeros_like(values)
+    slope = np.abs(k._grad_scale(r)) / 2
+    return values, 4 * np.spacing(squared_distances(xs, ys)) * slope + 4 * np.spacing(np.abs(values))
+
+
+@st.composite
+def point_sets(draw):
+    """(dim, xs, ys) of 1-6 points each in the unit box of dimension 1-3."""
+    dim = draw(st.sampled_from(sorted(BIT_VARIANTS)))
+    coords = st.floats(0.0, 1.0)
+    xs = draw(arrays(float, (draw(st.integers(1, 6)), dim), elements=coords))
+    ys = draw(arrays(float, (draw(st.integers(1, 6)), dim), elements=coords))
+    return dim, xs, ys
+
+
+@PROPERTY
+@given(point_sets())
+def test_matrices_keep_their_bits(points):
+    # symmetric and pointwise bit for bit; the r-route profiles keep the bits
+    # of the distances, the s-route ones agree with them to rounding
+    dim, xs, ys = points
+    for k in BIT_VARIANTS[dim]:
+        name = f"{type(k).__name__}({type(getattr(k, 'kernel', k)).__name__})"
+        gram = k.gram(xs, ys)
+        assert k.gram(ys, xs).T.tobytes() == gram.tobytes(), name
+        for i, j in np.ndindex(gram.shape):
+            assert np.float64(k.eval(xs[i], ys[j])).tobytes() == gram[i, j].tobytes(), name
+        reference, tol = _reference(k, xs, ys)
+        if not np.any(tol):
+            assert gram.tobytes() == reference.tobytes(), name
+        else:
+            assert np.all(np.abs(gram - reference) <= tol), name
