@@ -54,10 +54,11 @@ Both cut and run their parts as the kernels module docstring sets out, and
 the bits do not depend on the parts or the pool.
 
 A solve returns the potentials and the dual value. The solution keeps the
-cost matrix the solve built, at every epsilon, and builds the dense plan, its
-primal value and the duality gap together on first access, so callers that
-need only the value (the self terms of a divergence, rejected line-search
-candidates) never build an n x m plan.
+cost matrix the solve built, at every epsilon, and builds the dense plan on
+first access and its primal value and duality gap on a later one, so callers
+that need only the value (the self terms of a divergence, rejected
+line-search candidates) never build an n x m plan, and those that need only
+the plan (the dithering gradient) never pay for the gap.
 """
 from __future__ import annotations
 
@@ -119,9 +120,10 @@ class LimitPotentials:
 class SinkhornSolution:
     """Potentials, dual value and convergence record of one solve.
 
-    `plan` and `duality_gap` are built on first access, together, from the
+    `plan` and `duality_gap` are each built on first access from the
     potentials and cost_matrix, the cost matrix the solve built and ran on
-    (at epsilon = inf the plan is the independent coupling and the gap 0).
+    (at epsilon = inf the plan is the independent coupling and the gap 0);
+    the plan builds no gap, the gap reads the plan.
     kappa = 1 - exp(-2 span(cost_matrix) / eps) bounds each half-step's contraction (0 at inf).
     """
 
@@ -136,29 +138,36 @@ class SinkhornSolution:
     cost_matrix: np.ndarray = field(repr=False)
     residual_history: np.ndarray = field(repr=False)
 
+    def _exponent(self) -> np.ndarray:
+        """(phi_i + psi_j - C_ij) / eps, a fresh n x m array."""
+        exponent = np.add.outer(self.potentials.phi, self.potentials.psi)
+        exponent -= self.cost_matrix
+        exponent /= self.potentials.epsilon
+        return exponent
+
     @cached_property
-    def _extraction(self) -> tuple[TransportPlan, float]:
-        """The plan and the gap between its primal value and the dual value."""
-        w_mu, w_nu = self.mu.weights, self.nu.weights
-        c_matrix, eps = self.cost_matrix, self.potentials.epsilon
-        if math.isinf(eps):
-            return TransportPlan(matrix=np.outer(w_mu, w_nu), mu=self.mu, nu=self.nu), 0.0
-        exponent = (self.potentials.phi[:, None] + self.potentials.psi[None, :] - c_matrix) / eps
-        with np.errstate(over="ignore"):
-            plan_matrix = np.exp(exponent)
-            plan_matrix *= np.outer(w_mu, w_nu)
-        # primal value of the extracted plan; its relative-entropy term reuses
-        # the exponent, so no logarithms of tiny numbers appear
-        primal = float(np.sum(c_matrix * plan_matrix) + eps * np.sum(plan_matrix * exponent))
-        return TransportPlan(matrix=plan_matrix, mu=self.mu, nu=self.nu), abs(primal - self.value)
-
-    @property
     def plan(self) -> TransportPlan:
-        return self._extraction[0]
+        w_mu, w_nu = self.mu.weights, self.nu.weights
+        if math.isinf(self.potentials.epsilon):
+            return TransportPlan(matrix=np.outer(w_mu, w_nu), mu=self.mu, nu=self.nu)
+        # the exponent becomes the plan in place
+        plan_matrix = self._exponent()
+        with np.errstate(over="ignore"):
+            np.exp(plan_matrix, out=plan_matrix)
+            plan_matrix *= np.outer(w_mu, w_nu)
+        return TransportPlan(matrix=plan_matrix, mu=self.mu, nu=self.nu)
 
-    @property
+    @cached_property
     def duality_gap(self) -> float:
-        return self._extraction[1]
+        """|primal value of the plan - dual value|."""
+        if math.isinf(self.potentials.epsilon):
+            return 0.0
+        plan_matrix, exponent = self.plan.matrix, self._exponent()
+        # the relative-entropy term reuses the exponent, so no logarithms of
+        # tiny numbers appear
+        primal = float(np.sum(self.cost_matrix * plan_matrix)
+                       + self.potentials.epsilon * np.sum(plan_matrix * exponent))
+        return abs(primal - self.value)
 
     def diagnostics(self) -> dict:
         return {
@@ -293,8 +302,9 @@ def _half_steps(k_matrix: np.ndarray, eps: float, log_w_mu: np.ndarray, log_w_nu
     Each takes a potential and reduces exp(K + potential/eps + log w) along
     the other measure's axis of K. The span max K - min K picks the form:
     within _GIBBS_MAX_SPAN, K becomes G = exp(K - max K) in place and a
-    half-step is one gemv with no n x m temporary; beyond it (or on a NaN
-    span), a log-sum-exp along either axis of K in one scratch buffer.
+    half-step is one gemv with no n x m temporary; beyond it, a log-sum-exp
+    along either axis of K in one scratch buffer. A span that is not finite
+    (K overflowed) raises NonFiniteValueError naming epsilon.
 
     The passes that write or reduce along an axis of K run in the solve's
     parts (the part rule is in the kernels module docstring): rows for
@@ -315,6 +325,10 @@ def _half_steps(k_matrix: np.ndarray, eps: float, log_w_mu: np.ndarray, log_w_nu
 
     k_max = float(np.max(k_matrix))
     span = k_max - float(np.min(k_matrix))
+    if not math.isfinite(span):
+        # C / eps overflowed (or C holds a NaN): no potential is representable
+        raise NonFiniteValueError(f"epsilon = {eps!r} is too small for the cost: "
+                                  "C / epsilon overflows")
     if span <= _GIBBS_MAX_SPAN:
         def to_gibbs(part):
             block = np.subtract(k_matrix[part], k_max, out=k_matrix[part])
@@ -402,13 +416,18 @@ def _fixed_point(c_matrix, mu, nu, cfg, start):
     is rejected: the memory is cleared and the next trial is the last kept
     turn's plain image. A self problem stops on the residual alone: its
     averaged turn builds no pair with one exact marginal whose other
-    marginal comes free. K and whatever the half-steps build from it live
-    only in this frame, so they are released before any plan is extracted.
+    marginal comes free. A K = -C/eps that overflows raises
+    NonFiniteValueError naming epsilon. K and whatever the half-steps build
+    from it live only in this frame, so they are released before any plan is
+    extracted.
     """
     eps = cfg.epsilon
-    # K is C-contiguous, as _half_steps needs, whatever the layout of C
-    t_nu, t_mu, span = _half_steps(np.divide(c_matrix, -eps, order="C"), eps,
-                                   _log_weights(mu.weights), _log_weights(nu.weights))
+    # K is C-contiguous, as _half_steps needs, whatever the layout of C; an
+    # overflow in it raises there
+    with np.errstate(over="ignore"):
+        k_matrix = np.divide(c_matrix, -eps, order="C")
+    t_nu, t_mu, span = _half_steps(k_matrix, eps, _log_weights(mu.weights),
+                                   _log_weights(nu.weights))
     kappa = -math.expm1(-2.0 * span)
     self_problem = _is_self_problem(mu, nu)
     rate = 0.5 * (1.0 + kappa) if self_problem else kappa

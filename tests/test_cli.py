@@ -374,6 +374,29 @@ def test_measure_outside_box_exits_one_naming_key_and_file(tmp_path, toy_files, 
     assert err.startswith("error:")
     assert f"'{key}'" in err and str(bad) in err and message in err
 
+def test_overflowing_cost_over_epsilon_exits_one_naming_epsilon(tmp_path, toy_files, capsys):
+    # -C/eps overflows; the divergence was written as NaN with exit 0
+    mu, nu = toy_files
+    config = _base_config(tmp_path, "compute", mu, nu)
+    config["cost"] = {"variant": "NegatedKernel", "params": {"kernel": {
+        "variant": "ShiftedNegativeDistance", "params": {"C": 5e307}}}}
+    config["epsilon"] = 0.1
+    assert main(["compute", "--config", str(write_config(tmp_path, config))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and re.search(r"\bepsilon\b", err)
+
+@pytest.mark.filterwarnings("ignore:target has:UserWarning")
+def test_dither_cost_without_gradient_exits_one_naming_cost(tmp_path, toy_files, capsys):
+    # a kernel with a kink at coincident points failed only at the first gradient
+    mu, nu = toy_files
+    config = _base_config(tmp_path, "dither", mu, nu)
+    config["cost"] = {"variant": "NegatedKernel", "params": {"kernel": {
+        "variant": "WendlandPower", "params": {"p": 1}}}}
+    assert main(["dither", "--config", str(write_config(tmp_path, config))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and re.search(r"\bcost\b", err)
+    assert not (tmp_path / "pos.txt").exists()
+
 def test_kernel_spec_error_names_key(tmp_path, toy_files, capsys):
     mu, nu = toy_files
     cfg = write_config(tmp_path, {

@@ -17,6 +17,7 @@ from sinkdiv import (
     NegatedKernel,
     PotentialPair,
     PowerDistance,
+    ShiftedNegativeDistance,
     SinkhornConfig,
     dirac,
     epsilon_sweep,
@@ -226,6 +227,21 @@ def test_small_epsilon_log_domain_solve_raises_no_runtime_warning(example_pair, 
             assert sol.converged and np.isfinite(sol.value)
 
 
+def test_cost_over_epsilon_overflow_raises_naming_epsilon(example_pair, unit_box):
+    # -C/eps = (5e307 - |x - y|) / 0.1 is past the largest float: every solve
+    # returned a NaN value, flagged unconverged
+    mu, nu = example_pair
+    cost = NegatedKernel(ShiftedNegativeDistance(unit_box, C=5e307))
+    cfg = SinkhornConfig(epsilon=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in [(mu, nu), (mu, mu)]:
+            with pytest.raises(NonFiniteValueError, match="epsilon"):
+                solve(cost, a, b, cfg)
+        with pytest.raises(NonFiniteValueError, match="epsilon"):
+            sinkhorn_divergence(cost, mu, nu, cfg)
+
+
 def test_gibbs_solve_peak_memory_within_four_cost_sized_arrays(unit_square):
     # the peak is at plan extraction, which reading the duality gap forces; G
     # overwrites K, so the fixed point holds one array of the cost's size
@@ -320,10 +336,11 @@ def test_divergence_builds_no_plan(unit_square, monkeypatch):
         cfg = SinkhornConfig(epsilon=eps)
         divergence.sinkhorn_divergence(AbsDistance(unit_square), mu, nu, cfg)
         assert len(solutions) == 3
-        # the plan and gap are one cached extraction, absent until read
-        assert not any("_extraction" in vars(sol) for sol in solutions)
+        # the plan and the gap are each cached, absent until read, and
+        # reading the plan builds no gap
+        assert not any("plan" in vars(sol) or "duality_gap" in vars(sol) for sol in solutions)
         solutions[0].plan
-        assert "_extraction" in vars(solutions[0])
+        assert "plan" in vars(solutions[0]) and "duality_gap" not in vars(solutions[0])
 
 def test_divergence_peak_memory_within_one_solve_and_one_plan(unit_square):
     # one solve's budget is 4 arrays of the cost's size (the test above). Each
