@@ -54,7 +54,6 @@ from .measures import (
     validate,
 )
 from .sinkhorn import (
-    LimitPotentials,
     PotentialPair,
     SinkhornConfig,
     SinkhornSolution,

@@ -56,7 +56,7 @@ _SCHEMAS = {
 }
 
 
-def _load_config(args, command: str) -> dict:
+def _load_config(args) -> dict:
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             config = json.load(handle)
@@ -81,9 +81,6 @@ def _load_config(args, command: str) -> dict:
             if not isinstance(node, dict):
                 raise ConfigError(f"--set path {key!r} crosses a non-object value")
         node[parts[-1]] = value
-    # --seed only applies to commands whose configuration carries a seed
-    if args.seed is not None and "seed" in _SCHEMAS[command]:
-        config["seed"] = args.seed
     return config
 
 
@@ -341,14 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
             help="override a config entry (dotted paths allowed, value parsed as JSON)",
         )
         cmd.add_argument("--allow-partial", action="store_true", dest="allow_partial")
-        cmd.add_argument("--seed", type=int, default=None)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args, args.command)
+        config = _load_config(args)
         return _COMMANDS[args.command](config, args.allow_partial)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -38,15 +38,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import (
-    AbsDistance,
     Cost,
     NegatedKernel,
     NegativeDistance,
-    PowerDistance,
     ShiftedNegativeDistance,
     SmoothedNegativeDistance,
+    kernel_for_cost,
 )
-from .errors import DimensionMismatchError, NonDifferentiablePointError, NonFiniteValueError
+from .errors import (
+    DimensionMismatchError,
+    NonDifferentiablePointError,
+    NonFiniteValueError,
+    NotNegatedKernelError,
+)
 from .measures import DiscreteMeasure, _check_integer, _positive, uniform, validate
 from .sinkhorn import SinkhornConfig, SinkhornSolution, solve
 
@@ -128,13 +132,12 @@ def resolve_cost(cfg: DitherConfig) -> Cost:
     NonDifferentiablePointError naming the cost, before anything is solved.
     """
     cost = cfg.cost
-    kinked = (
-        isinstance(cost, AbsDistance)
-        or (isinstance(cost, PowerDistance) and cost.p == 1.0)
-        or (isinstance(cost, NegatedKernel)
-            and isinstance(cost.kernel, (NegativeDistance, ShiftedNegativeDistance)))
-    )
-    if kinked:
+    try:
+        kernel = kernel_for_cost(cost)
+    except NotNegatedKernelError:
+        kernel = None
+    # the distance costs are those whose kernel is a (shifted) negative distance
+    if isinstance(kernel, (NegativeDistance, ShiftedNegativeDistance)):
         return NegatedKernel(SmoothedNegativeDistance(cost.box, c=cfg.smoothing))
     if not cost.smooth_at_zero:
         name = cost.variant

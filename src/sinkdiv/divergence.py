@@ -129,35 +129,33 @@ def epsilon_sweep(
     """One record per regularization value from independent cold solves.
 
     The records carry the sup distance of the normalized potentials to their
-    infinite-regularization limits. The terminal epsilon = inf record takes
-    its cross term from that limit solve (0 iterations, distances 0) and its
-    self terms from closed-form steps. Non-converged solves are flagged per
-    record and the sweep continues.
+    infinite-regularization limits. Every row, the terminal epsilon = inf
+    one included, is one cross solve and two self solves. The epsilon = inf
+    row runs first, as its cross solve gives the limits (its own distances
+    are 0 and it takes 0 iterations), and is emitted last. Non-converged
+    solves are flagged per record and the sweep continues.
     """
     eps_values = sweep_epsilons(epsilons)
     template = cfg if cfg is not None else SinkhornConfig(epsilon=1.0)
 
-    limits = ot_infinity(cost, mu, nu)
+    limits = None
     records = []
-    for eps in [*eps_values, math.inf]:
+    for eps in [math.inf, *eps_values]:
         cfg_eps = replace(template, epsilon=float(eps))
-        if math.isinf(eps):
-            # ot_infinity is the epsilon = inf cross solve, read once
-            fields = dict(iterations=0, phi_dist_to_inf=0.0, psi_dist_to_inf=0.0)
-            cross_term = limits.ot_inf, True
-        else:
-            cross = solve(cost, mu, nu, cfg_eps)
-            pair = cross.potentials
-            fields = dict(iterations=cross.iterations,
-                          phi_dist_to_inf=float(np.max(np.abs(pair.phi - limits.phi_inf))),
-                          psi_dist_to_inf=float(np.max(np.abs(pair.psi - limits.psi_inf))))
-            cross_term = cross.value, cross.converged
-            # the cross solution and its cost matrix go before the self solves
-            del cross
+        cross = solve(cost, mu, nu, cfg_eps)
+        pair = cross.potentials
+        # the first row's cross solve, at epsilon = inf, gives the limits
+        limits = limits or pair
+        iterations, cross_term = cross.iterations, (cross.value, cross.converged)
+        # the cross solution and its cost matrix go before the self solves
+        del cross
         div = _divergence_from_cross(cost, mu, nu, cfg_eps, cross_term)
-        records.append(SweepRecord(**fields, epsilon=float(eps), ot_eps=div.ot_mu_nu,
-                                   s_eps=div.s_eps, converged=div.converged))
-    return records
+        records.append(SweepRecord(
+            epsilon=float(eps), ot_eps=div.ot_mu_nu, s_eps=div.s_eps,
+            phi_dist_to_inf=float(np.max(np.abs(pair.phi - limits.phi))),
+            psi_dist_to_inf=float(np.max(np.abs(pair.psi - limits.psi))),
+            iterations=iterations, converged=div.converged))
+    return records[1:] + records[:1]
 
 
 def _term(cost, mu, nu, cfg) -> tuple[float, bool]:

@@ -375,15 +375,21 @@ class Kernel(_RadialFunction):
 
 
 class Gaussian(Kernel):
-    """K(x, y) = exp(-||x-y||^2 / c^2), strictly positive definite."""
+    """K(x, y) = exp(-||x-y||^2 / c^2), strictly positive definite.
+
+    c must be wide enough for the box: every quotient the profile and its
+    derivative form there, s / c^2 up to diam^2 / c^2, 2 r / c^2 up to
+    2 diam / c^2 and h'(r)/r = -2 h / c^2 up to 2 / c^2, is finite.
+    """
 
     variant = "Gaussian"
 
     def __init__(self, box: BoundingBox, c: float = 1.0):
         self.c = _positive("Gaussian", "c", c, squared=True)
-        # h'(r)/r = -2 h / c^2 is -2 / c^2 at r = 0
-        if not 2.0 / (self.c * self.c) < math.inf:
-            raise ValueError(f"Gaussian requires 2 / c^2 to be finite, got c = {c!r}")
+        diam = box.diameter
+        if not max(2.0, 2.0 * diam, diam * diam) / (self.c * self.c) < math.inf:
+            raise ValueError("Gaussian requires 2 / c^2, 2 diam / c^2 and diam^2 / c^2 to be "
+                             f"finite on its box, got c = {c!r}")
         super().__init__(box)
 
     def _profile(self, s):
@@ -745,11 +751,12 @@ class NegatedKernel(Cost):
 def kernel_for_cost(cost: Cost) -> Kernel:
     """Kernel K with c = -K, when the cost is kernel-backed.
 
-    AbsDistance maps to NegativeDistance; all other non-kernel costs raise.
+    AbsDistance and PowerDistance with p = 1, the same distance cost, map to
+    NegativeDistance; all other non-kernel costs raise.
     """
     if isinstance(cost, NegatedKernel):
         return cost.kernel
-    if isinstance(cost, AbsDistance):
+    if isinstance(cost, AbsDistance) or (isinstance(cost, PowerDistance) and cost.p == 1.0):
         return NegativeDistance(cost.box)
     raise NotNegatedKernelError(f"cost {cost.variant} is not of the form -K")
 

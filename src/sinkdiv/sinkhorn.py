@@ -103,20 +103,6 @@ class PotentialPair:
 
 
 @dataclass(frozen=True)
-class LimitPotentials:
-    """Potentials and value of the independent-coupling (epsilon -> infinity) limit."""
-
-    phi_inf: np.ndarray
-    psi_inf: np.ndarray
-    ot_inf: float
-
-    @property
-    def potentials(self) -> PotentialPair:
-        """The limit potentials as an epsilon = inf pair, ready for extend_potentials."""
-        return PotentialPair(phi=self.phi_inf, psi=self.psi_inf, epsilon=math.inf)
-
-
-@dataclass(frozen=True)
 class SinkhornSolution:
     """Potentials, dual value and convergence record of one solve.
 
@@ -564,15 +550,15 @@ def solve(
     )
 
 
-def ot_infinity(cost: Cost, mu: DiscreteMeasure, nu: DiscreteMeasure) -> LimitPotentials:
-    """The epsilon = inf solve, read as the independent-coupling limit.
+def ot_infinity(cost: Cost, mu: DiscreteMeasure, nu: DiscreteMeasure) -> SinkhornSolution:
+    """The epsilon = inf solve, the independent-coupling limit.
 
-    ot_inf = sum_ij c_ij mu_i nu_j up to rounding (the dual value); the limit
-    potentials are the marginal cost averages with sum_i phi_i mu_i = ot_inf / 2.
+    Its value is sum_ij c_ij mu_i nu_j up to rounding (the dual value), and
+    its potentials are the marginal cost averages with sum_i phi_i mu_i =
+    value / 2: 0 iterations, converged, kappa = 0. A function of its own, so
+    that perfbench/spans.py can time the limit apart from the other solves.
     """
-    sol = solve(cost, mu, nu, SinkhornConfig(epsilon=math.inf))
-    pair = sol.potentials
-    return LimitPotentials(phi_inf=pair.phi, psi_inf=pair.psi, ot_inf=sol.value)
+    return solve(cost, mu, nu, SinkhornConfig(epsilon=math.inf))
 
 
 def extend_potentials(
@@ -585,10 +571,10 @@ def extend_potentials(
     """Evaluate the canonical continuous extensions of (phi, psi) off-support.
 
     phi extends through the half-step against nu, psi through the half-step
-    against mu; a pair with epsilon = inf (LimitPotentials.potentials) extends
-    through the limit of the half-step. Both run through softmin, one row
-    block of points at a time, so a grid of any size holds one cost block,
-    not a grid x atoms matrix.
+    against mu; a pair with epsilon = inf (ot_infinity(...).potentials)
+    extends through the limit of the half-step. Both run through softmin, one
+    row block of points at a time, so a grid of any size holds one cost
+    block, not a grid x atoms matrix.
     """
     phi_ext = softmin(cost, nu, pair.psi, pair.epsilon, points)
     psi_ext = softmin(cost, mu, pair.phi, pair.epsilon, points)

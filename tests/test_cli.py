@@ -84,7 +84,7 @@ def test_compute_infinite_epsilon_is_the_limit(tmp_path, toy_files, capsys):
 
     out = compute("ot.json", {**base, "kind": "ot_eps", "cost": ABS_COST, "epsilon": "inf"})
     box = BoundingBox(np.array([0.0]), np.array([1.0]))
-    assert out["value"] == ot_infinity(AbsDistance(box), load_measure(mu), load_measure(nu)).ot_inf
+    assert out["value"] == ot_infinity(AbsDistance(box), load_measure(mu), load_measure(nu)).value
     assert out["diagnostics"]["iterations"] == 0 and out["diagnostics"]["converged"]
 
     s_eps = compute("s_eps.json", {**base, "kind": "s_eps", "epsilon": "inf", "cost": {
@@ -292,15 +292,6 @@ def test_bad_config_value_exits_one_naming_key(tmp_path, toy_files, capsys, comm
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert re.search(rf"\b{key}\b", err)
-
-def test_negative_seed_flag_exits_one_naming_seed(tmp_path, toy_files, capsys):
-    mu, nu = toy_files
-    cfg = write_config(tmp_path, _base_config(tmp_path, "dither", mu, nu))
-    assert main(["dither", "--config", str(cfg), "--seed", "-1"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error:")
-    assert re.search(r"\bseed\b", err)
-    assert "Traceback" not in err
 
 @pytest.mark.filterwarnings("ignore:target has:UserWarning")
 @pytest.mark.parametrize("command, override", [
@@ -561,6 +552,20 @@ def test_potentials_non_kernel_cost_exits_one_before_writing(tmp_path, toy_files
     assert "PowerDistance" in err and "Traceback" not in err
     for key in ("output_phi", "output_psi", "output_diff", "output_witness"):
         assert not (tmp_path / f"{key}.txt").exists()
+
+def test_potentials_power_distance_p1_writes_the_abs_distance_files(tmp_path, toy_files):
+    # ||x - y||^1 is the distance cost, with the same matrix bits, so its
+    # witness kernel is the negative distance as for AbsDistance
+    mu, nu = toy_files
+    written = []
+    for name, cost in [("abs", ABS_COST), ("p1", {"variant": "PowerDistance", "params": {"p": 1}})]:
+        out = tmp_path / name
+        out.mkdir()
+        config = dict(_base_config(out, "potentials", mu, nu), cost=cost)
+        assert main(["potentials", "--config", str(write_config(out, config))]) == 0
+        written.append({key: (out / f"{key}.txt").read_bytes() for key in (
+            "output_phi", "output_psi", "output_diff", "output_witness")})
+    assert written[0] == written[1]
 
 def test_potentials_zero_discrepancy_exits_one_before_writing(tmp_path, toy_files, capsys):
     # mu and nu name the same file, so D_K = 0 and the witness is undefined

@@ -109,9 +109,9 @@ def test_s_infinity_equals_limit_combination(unit_box):
         mu = random_measure(rng, 7, unit_box)
         nu = random_measure(rng, 9, unit_box)
         combo = (
-            ot_infinity(cost, mu, nu).ot_inf
-            - 0.5 * ot_infinity(cost, mu, mu).ot_inf
-            - 0.5 * ot_infinity(cost, nu, nu).ot_inf
+            ot_infinity(cost, mu, nu).value
+            - 0.5 * ot_infinity(cost, mu, mu).value
+            - 0.5 * ot_infinity(cost, nu, nu).value
         )
         assert s_infinity(cost, mu, nu) == pytest.approx(combo, abs=1e-12)
 
@@ -241,7 +241,7 @@ def test_sweep_endpoints_match_oracles(toy_sweep):
     cost, mu, nu, records = toy_sweep
     exact = exact_ot(cost, mu, nu).value
     assert records[0].ot_eps == pytest.approx(exact, abs=5e-3)
-    assert records[-1].ot_eps == pytest.approx(ot_infinity(cost, mu, nu).ot_inf, abs=1e-12)
+    assert records[-1].ot_eps == pytest.approx(ot_infinity(cost, mu, nu).value, abs=1e-12)
     assert abs(records[-2].ot_eps - records[-1].ot_eps) <= 1e-3
 
 def test_sweep_potential_distance_decreasing_on_upper_half(toy_sweep):

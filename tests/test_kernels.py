@@ -609,6 +609,16 @@ def test_gaussian_rejects_a_width_whose_gradient_factor_overflows(unit_box):
         Gaussian(unit_box, c=1e-160)
     Gaussian(unit_box, c=1e-150)
 
+def test_gaussian_rejects_a_width_too_small_for_its_box():
+    # on [0, 2] the derivative's 2 r / c^2 overflowed at r = diam, and the
+    # build and the gram warned; on [0, 1] every quotient is finite
+    c = 1.1e-154
+    with pytest.raises(ValueError, match=r"\bc = 1\.1e-154"):
+        Gaussian(BoundingBox([0.0], [2.0]), c=c)
+    kernel = Gaussian(BoundingBox([0.0], [1.0]), c=c)
+    assert math.isfinite(kernel.lipschitz)
+    assert kernel.gram([[0.0]], [[1.0]])[0, 0] == 0.0
+
 @pytest.mark.parametrize("anchor", [[1e308], [1.5], [-1e-9]])
 def test_cpd_shift_rejects_an_anchor_outside_the_box(unit_box, anchor):
     # the anchor is a point of the box; at 1e308 its squared distances

@@ -571,7 +571,7 @@ def test_self_duality_gap_second_order(unit_box):
 def _normalized(cost, mu, nu, phi, psi):
     # the shift solve applies: <phi, mu> becomes half the independent-coupling
     # cost; returns the shifted pair and its value
-    delta = 0.5 * ot_infinity(cost, mu, nu).ot_inf - float(phi @ mu.weights)
+    delta = 0.5 * ot_infinity(cost, mu, nu).value - float(phi @ mu.weights)
     phi, psi = phi + delta, psi - delta
     return phi, psi, float(phi @ mu.weights + psi @ nu.weights)
 
@@ -801,7 +801,7 @@ def test_normalization_constraint(unit_box):
         sol = solve(cost, mu, nu, SinkhornConfig(epsilon=eps))
         limits = ot_infinity(cost, mu, nu)
         assert float(sol.potentials.phi @ mu.weights) == pytest.approx(
-            0.5 * limits.ot_inf, abs=1e-10
+            0.5 * limits.value, abs=1e-10
         )
 
 def test_shift_equivariance(unit_box):
@@ -886,23 +886,23 @@ def test_value_monotone_in_epsilon(unit_box):
 def test_ot_infinity_four_atoms(example_pair, unit_box):
     mu, nu = example_pair
     limits = ot_infinity(AbsDistance(unit_box), mu, nu)
-    assert limits.ot_inf == pytest.approx(0.5, abs=1e-15)
-    assert limits.phi_inf[0] == pytest.approx(0.25, abs=1e-15)
+    assert limits.value == pytest.approx(0.5, abs=1e-15)
+    assert limits.potentials.phi[0] == pytest.approx(0.25, abs=1e-15)
 
 def test_ot_infinity_self_dirac(unit_box):
     m = dirac([0.3])
     limits = ot_infinity(AbsDistance(unit_box), m, m)
-    assert limits.ot_inf == 0.0
-    assert np.array_equal(limits.phi_inf, np.zeros(1))
-    assert np.array_equal(limits.psi_inf, np.zeros(1))
+    assert limits.value == 0.0
+    assert np.array_equal(limits.potentials.phi, np.zeros(1))
+    assert np.array_equal(limits.potentials.psi, np.zeros(1))
 
 def test_ot_infinity_normalization_identity(unit_box):
     rng = np.random.default_rng(6)
     mu = random_measure(rng, 6, unit_box)
     nu = random_measure(rng, 8, unit_box)
     limits = ot_infinity(AbsDistance(unit_box), mu, nu)
-    assert float(limits.phi_inf @ mu.weights) == pytest.approx(
-        0.5 * limits.ot_inf, abs=1e-14
+    assert float(limits.potentials.phi @ mu.weights) == pytest.approx(
+        0.5 * limits.value, abs=1e-14
     )
 
 def _limit_costs(box):
@@ -921,9 +921,9 @@ def test_ot_infinity_is_the_marginal_average_formula(unit_square, cost_index):
             c_matrix = cost.matrix(a.points, b.points)
             ot = float(a.weights @ (c_matrix @ b.weights))
             limits = ot_infinity(cost, a, b)
-            assert limits.ot_inf == pytest.approx(ot, abs=1e-14)
-            assert np.max(np.abs(limits.phi_inf - (c_matrix @ b.weights - 0.5 * ot))) <= 1e-14
-            assert np.max(np.abs(limits.psi_inf - (c_matrix.T @ a.weights - 0.5 * ot))) <= 1e-14
+            assert limits.value == pytest.approx(ot, abs=1e-14)
+            assert np.max(np.abs(limits.potentials.phi - (c_matrix @ b.weights - 0.5 * ot))) <= 1e-14
+            assert np.max(np.abs(limits.potentials.psi - (c_matrix.T @ a.weights - 0.5 * ot))) <= 1e-14
 
 def test_solve_at_infinity_keeps_its_cost_matrix_and_zero_kappa(unit_square):
     # kappa is 0 even where L / eps is inf / inf (PowerDistance with p < 1);
@@ -968,8 +968,8 @@ def test_extended_limit_potentials_match_on_supports(unit_square):
     assert limits.potentials.epsilon == math.inf
     phi_ext, _ = extend_potentials(cost, mu, nu, limits.potentials, mu.points)
     _, psi_ext = extend_potentials(cost, mu, nu, limits.potentials, nu.points)
-    assert np.max(np.abs(phi_ext - limits.phi_inf)) <= 1e-12
-    assert np.max(np.abs(psi_ext - limits.psi_inf)) <= 1e-12
+    assert np.max(np.abs(phi_ext - limits.potentials.phi)) <= 1e-12
+    assert np.max(np.abs(psi_ext - limits.potentials.psi)) <= 1e-12
 
 def test_potentials_converge_to_limits(unit_box):
     # asymmetric toy; a mirror-symmetric instance has zero distance at all eps
@@ -980,7 +980,7 @@ def test_potentials_converge_to_limits(unit_box):
     dists = []
     for eps in [1.0, 4.0, 16.0, 64.0, 256.0, 1024.0]:
         sol = solve(cost, mu, nu, SinkhornConfig(epsilon=eps))
-        dists.append(float(np.max(np.abs(sol.potentials.phi - limits.phi_inf))))
+        dists.append(float(np.max(np.abs(sol.potentials.phi - limits.potentials.phi))))
     assert all(b <= a for a, b in zip(dists, dists[1:]))
     assert dists[-1] < 1e-3
 
