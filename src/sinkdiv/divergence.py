@@ -18,9 +18,9 @@ import numpy as np
 
 from .discrepancy import ZERO_DISCREPANCY_TOL
 from .discrepancy import discrepancy as kernel_discrepancy
-from .errors import NotNegatedKernelError, ZeroDiscrepancyError
+from .errors import ZeroDiscrepancyError
 from .fileio import atomic_write_text
-from .kernels import Cost, CpdShifted, Kernel, NegatedKernel
+from .kernels import Cost, CpdShifted, Kernel, NegatedKernel, kernel_for_cost
 from .measures import DiscreteMeasure
 from .sinkhorn import SinkhornConfig, extend_potentials, ot_infinity, solve
 
@@ -72,11 +72,10 @@ def s_infinity(cost: Cost, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Infinite-regularization divergence, half the squared discrepancy of K = -c.
 
     Computed by the discrepancy double sums, never by a large-epsilon solve.
-    Requires a kernel-backed cost.
+    The kernel is kernel_for_cost's, so a distance cost uses the negative
+    distance; any other cost raises NotNegatedKernelError.
     """
-    if not isinstance(cost, NegatedKernel):
-        raise NotNegatedKernelError("s_infinity requires a NegatedKernel cost")
-    return 0.5 * kernel_discrepancy(cost.kernel, mu, nu).squared
+    return 0.5 * kernel_discrepancy(kernel_for_cost(cost), mu, nu).squared
 
 
 def witness_from_limits(

@@ -330,10 +330,8 @@ class _RadialFunction:
     def plan_grad_y(self, xs, ys, plan, values=None) -> np.ndarray:
         """sum_i plan_ij grad_y k(xs_i, ys_j) for each j, shape (m, d).
 
-        plan is the (n, m) plan, or the pair (a, b) of weights of the
-        independent coupling a b^T, which is then never built. The sum is
-        one n x m factor h'(r)/r and one matrix product (_plan_contraction),
-        no (n, m, d) gradients.
+        plan is the dense (n, m) plan. The sum is one n x m factor h'(r)/r
+        and one matrix product (_plan_contraction), no (n, m, d) gradients.
 
         values, if given, is this function's own matrix at (xs, ys), as
         gram or matrix builds it. A profile with a closed form of h'(r)/r in
@@ -352,14 +350,8 @@ class _RadialFunction:
 def _plan_contraction(xs: np.ndarray, ys: np.ndarray, scale: np.ndarray, plan) -> np.ndarray:
     """sum_i P_ij S_ij (ys_j - xs_i) for each j, S the factor h'(r)/r, which is overwritten.
 
-    A dense plan P is folded into W = P * S, giving ys_j sum_i W_ij - (W^T xs)_j.
-    The independent coupling P = a b^T, given as (a, b), gives
-    b_j (ys_j (S^T a)_j - (S^T (a * xs))_j) from one product S^T [a, a * xs].
+    The plan P is folded into W = P * S, giving ys_j sum_i W_ij - (W^T xs)_j.
     """
-    if isinstance(plan, tuple):
-        a, b = plan
-        sums = scale.T @ np.column_stack((a, a[:, None] * xs))
-        return b[:, None] * (ys * sums[:, :1] - sums[:, 1:])
     scale *= plan
     return ys * scale.sum(axis=0)[:, None] - scale.T @ xs
 
@@ -582,10 +574,7 @@ class CpdShifted(Kernel):
         # sums; the shifted matrix does not give the base kernel's values,
         # so values is not read and the distance route runs
         u = self.anchor[None, :]
-        if isinstance(plan, tuple):
-            sums = (plan[0].sum(keepdims=True), plan[1])
-        else:
-            sums = plan.sum(axis=0)[None, :]
+        sums = plan.sum(axis=0)[None, :]
         return self.base.plan_grad_y(xs, ys, plan) - self.base.plan_grad_y(u, ys, sums)
 
     def params(self):

@@ -5,7 +5,8 @@ fixed-point loop with an oscillation-norm stopping rule; at epsilon = inf one
 exact closed-form alternation, whose value is the dual value as at every
 epsilon), value/plan/gap extraction and the contraction bound kappa. All
 exponentials are max-shifted; nothing overflows at either extreme of the
-regularization parameter.
+regularization parameter, and an epsilon below the rounding of the cost
+(_MAX_SPAN) is rejected.
 
 A solve iterates F(psi) = T_mu(T_nu(psi)) for a cross problem and F(psi) =
 (psi + T_nu(psi)) / 2 for a self problem: 8 plain turns, then Anderson
@@ -184,6 +185,13 @@ def _log_weights(weights: np.ndarray) -> np.ndarray:
 # sum, for any potential or weight, and the logarithm never sees 0.
 _GIBBS_MAX_SPAN = 500.0
 
+# Largest span of K, span(C) / eps, that a solve accepts. Some entry of C is
+# at least span(C) / 2 in size, as are the potentials, so they hold about
+# 2^-53 span(C) and each exponent (phi_i + psi_j - C_ij) / eps of the plan
+# rounds by about 2^-53 span(C) / eps: at most 2^-13 ~ 1e-4 up to 2^40, and
+# past 2^53 the plan holds no digit while the loop still converges.
+_MAX_SPAN = 2.0 ** 40
+
 # Floor of the shifted exponents of a log-sum-exp. exp of an argument below
 # about -708 is subnormal or takes a slow underflow path, several times the
 # cost of a normal one. Each sum holds its max term exp(0) = 1, and a clamped
@@ -289,8 +297,9 @@ def _half_steps(k_matrix: np.ndarray, eps: float, log_w_mu: np.ndarray, log_w_nu
     the other measure's axis of K. The span max K - min K picks the form:
     within _GIBBS_MAX_SPAN, K becomes G = exp(K - max K) in place and a
     half-step is one gemv with no n x m temporary; beyond it, a log-sum-exp
-    along either axis of K in one scratch buffer. A span that is not finite
-    (K overflowed) raises NonFiniteValueError naming epsilon.
+    along either axis of K in one scratch buffer. A span beyond _MAX_SPAN
+    (eps below the rounding of C, or K overflowed) raises
+    NonFiniteValueError naming epsilon.
 
     The passes that write or reduce along an axis of K run in the solve's
     parts (the part rule is in the kernels module docstring): rows for
@@ -311,10 +320,10 @@ def _half_steps(k_matrix: np.ndarray, eps: float, log_w_mu: np.ndarray, log_w_nu
 
     k_max = float(np.max(k_matrix))
     span = k_max - float(np.min(k_matrix))
-    if not math.isfinite(span):
-        # C / eps overflowed (or C holds a NaN): no potential is representable
-        raise NonFiniteValueError(f"epsilon = {eps!r} is too small for the cost: "
-                                  "C / epsilon overflows")
+    # written so that an overflowed K (or a NaN in C) fails too
+    if not span <= _MAX_SPAN:
+        raise NonFiniteValueError(f"epsilon = {eps!r} is below the rounding of the cost: "
+                                  f"span(C) / epsilon = {span:.3g} exceeds 2^40")
     if span <= _GIBBS_MAX_SPAN:
         def to_gibbs(part):
             block = np.subtract(k_matrix[part], k_max, out=k_matrix[part])
@@ -402,14 +411,14 @@ def _fixed_point(c_matrix, mu, nu, cfg, start):
     is rejected: the memory is cleared and the next trial is the last kept
     turn's plain image. A self problem stops on the residual alone: its
     averaged turn builds no pair with one exact marginal whose other
-    marginal comes free. A K = -C/eps that overflows raises
+    marginal comes free. An eps below the rounding of C raises
     NonFiniteValueError naming epsilon. K and whatever the half-steps build
     from it live only in this frame, so they are released before any plan is
     extracted.
     """
     eps = cfg.epsilon
     # K is C-contiguous, as _half_steps needs, whatever the layout of C; an
-    # overflow in it raises there
+    # eps below the rounding of C, an overflow in K among them, raises there
     with np.errstate(over="ignore"):
         k_matrix = np.divide(c_matrix, -eps, order="C")
     t_nu, t_mu, span = _half_steps(k_matrix, eps, _log_weights(mu.weights),

@@ -376,6 +376,16 @@ def test_overflowing_cost_over_epsilon_exits_one_naming_epsilon(tmp_path, toy_fi
     err = capsys.readouterr().err
     assert err.startswith("error:") and re.search(r"\bepsilon\b", err)
 
+def test_epsilon_below_the_rounding_of_the_cost_exits_one_naming_epsilon(
+        tmp_path, toy_files, capsys):
+    # the solve reported converged from a plan whose marginals missed by 0.25
+    mu, nu = toy_files
+    config = _base_config(tmp_path, "compute", mu, nu)
+    config.update(kind="ot_eps", epsilon=1e-20)
+    assert main(["compute", "--config", str(write_config(tmp_path, config))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and re.search(r"\bepsilon\b", err)
+
 @pytest.mark.filterwarnings("ignore:target has:UserWarning")
 def test_dither_cost_without_gradient_exits_one_naming_cost(tmp_path, toy_files, capsys):
     # a kernel with a kink at coincident points failed only at the first gradient

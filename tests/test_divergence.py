@@ -13,6 +13,7 @@ from sinkdiv import (
     NegatedKernel,
     NegativeDistance,
     PotentialPair,
+    PowerDistance,
     ShiftedNegativeDistance,
     SinkhornConfig,
     dirac,
@@ -100,7 +101,17 @@ def test_s_infinity_two_diracs(unit_box):
 
 def test_s_infinity_requires_kernel_cost(unit_box):
     with pytest.raises(NotNegatedKernelError):
-        s_infinity(AbsDistance(unit_box), dirac([0.0]), dirac([1.0]))
+        s_infinity(PowerDistance(unit_box, p=2.0), dirac([0.0]), dirac([1.0]))
+
+def test_s_infinity_of_the_distance_cost_is_the_negative_distance_kernel_value(unit_box):
+    # the distance cost is -K for the negative distance K, as epsilon_sweep's
+    # infinite row already reads it; s_infinity used to reject it
+    mu, nu = uniform(np.array([[0.0], [1.0]])), uniform(np.array([[0.1], [0.9]]))
+    value = s_infinity(AbsDistance(unit_box), mu, nu)
+    assert value == s_infinity(NegatedKernel(NegativeDistance(unit_box)), mu, nu)
+    assert value == pytest.approx(0.05, abs=1e-14)
+    row = epsilon_sweep(AbsDistance(unit_box), mu, nu, epsilons=[1.0])[-1]
+    assert row.s_eps == pytest.approx(value, abs=1e-14)
 
 def test_s_infinity_equals_limit_combination(unit_box):
     rng = np.random.default_rng(3)

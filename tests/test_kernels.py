@@ -235,21 +235,6 @@ def test_plan_grad_from_values_reads_no_distances_for_closed_forms(monkeypatch, 
         assert calls == [], type(k).__name__
         assert np.array_equal(values, kept)
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_plan_grad_of_the_independent_coupling_from_its_weights(d):
-    # the coupling a b^T given as (a, b) is contracted without building it
-    box = BoundingBox(np.zeros(d), np.full(d, 2.0))
-    rng = np.random.default_rng(59 + d)
-    xs, ys = 2.0 * rng.random((9, d)), 2.0 * rng.random((6, d))
-    a, b = rng.random(9), rng.random(6)
-    a, b = a / a.sum(), b / b.sum()
-    for k in _contraction_variants(box):
-        ref = _plan_contraction(k, xs, ys, np.outer(a, b))
-        for values in (None, k.gram(xs, ys)):
-            got = k.plan_grad_y(xs, ys, (a, b), values)
-            assert got.shape == ys.shape
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), type(k).__name__
-
 def test_plan_grad_wendland_zero_beyond_support():
     box = BoundingBox(np.zeros(2), np.full(2, 4.0))
     k = WendlandPower(box, p=2)

@@ -28,6 +28,7 @@ from sinkdiv import (
     sinkhorn_divergence,
     solve,
 )
+from sinkdiv.dither import DitherConfig, gradient
 from sinkdiv.kernels import pairwise_distances, squared_distances
 from sinkdiv.sinkhorn import _is_self_problem
 
@@ -199,6 +200,30 @@ def test_kappa_never_looser_than_the_lipschitz_bound_and_bounds_every_kept_turn(
         rate = 0.5 * (1.0 + sol.kappa) if _is_self_problem(a, b) else sol.kappa
         hist = sol.residual_history
         assert np.all(hist[1:] <= (rate + 1e-6) * hist[:-1] + 1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the dithering gradient
+# ---------------------------------------------------------------------------
+
+@FINITE
+@given(problems(), st.sampled_from([0.15, 1.0, math.inf]), st.data())
+def test_dithering_gradient_follows_the_order_of_the_atoms(problem, eps, data):
+    # permuting the positions permutes the gradient's rows, and permuting the
+    # target's atoms leaves it unchanged; the gradient is compared relative to
+    # its size or, for one that nearly vanishes, to 1/M, the size of one
+    # position's terms of the two contractions
+    cost, target, positions = problem
+    points = positions.points
+    cfg = DitherConfig(M=len(points), epsilon=eps, cost=cost, inner_tol=1e-12)
+    grad = gradient(cfg, target, points)
+    tol = 1e-10 * max(np.max(np.abs(grad)), 1.0 / len(points))
+    order = data.draw(st.permutations(range(len(points))))
+    moved = gradient(cfg, target, points[order])
+    assert np.max(np.abs(moved - grad[order])) <= tol
+    target_order = data.draw(st.permutations(range(len(target))))
+    moved = gradient(cfg, permuted(target, target_order), points)
+    assert np.max(np.abs(moved - grad)) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,19 @@ def test_cost_over_epsilon_overflow_raises_naming_epsilon(example_pair, unit_box
             sinkhorn_divergence(cost, mu, nu, cfg)
 
 
+def test_epsilon_below_the_rounding_of_the_cost_raises_naming_epsilon(unit_box):
+    # span(C) / eps = 8e19 at 1e-20: the solve reported converged with a
+    # duality gap of 0.05 from a plan whose marginals missed by 0.25. At 1e-12
+    # (8e11, within 2^40) it still solves
+    mu, nu = uniform(np.array([[0.0], [1.0]])), uniform(np.array([[0.1], [0.9]]))
+    cost = AbsDistance(unit_box)
+    for eps in (1e-13, 1e-20):
+        with pytest.raises(NonFiniteValueError, match="epsilon"):
+            solve(cost, mu, nu, SinkhornConfig(epsilon=eps))
+    sol = solve(cost, mu, nu, SinkhornConfig(epsilon=1e-12))
+    assert sol.converged and sol.plan.marginal_error() <= 1e-4
+
+
 def test_gibbs_solve_peak_memory_within_four_cost_sized_arrays(unit_square):
     # the peak is at plan extraction, which reading the duality gap forces; G
     # overwrites K, so the fixed point holds one array of the cost's size
