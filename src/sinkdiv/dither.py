@@ -139,9 +139,9 @@ def resolve_cost(cfg: DitherConfig) -> Cost:
     if isinstance(kernel, (NegativeDistance, ShiftedNegativeDistance)):
         return NegatedKernel(SmoothedNegativeDistance(cost.box, c=cfg.smoothing))
     if not cost.smooth_at_zero:
-        name = cost.variant
+        name = type(cost).__name__
         if isinstance(cost, NegatedKernel):
-            name += f"({cost.kernel.variant})"
+            name += f"({type(cost.kernel).__name__})"
         raise NonDifferentiablePointError(
             f"cost {name} has no gradient at coincident points, which dithering needs")
     return cost

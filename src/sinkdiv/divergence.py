@@ -125,23 +125,26 @@ def epsilon_sweep(
     epsilons=None,
     cfg: SinkhornConfig | None = None,
 ) -> list[SweepRecord]:
-    """One record per regularization value from independent cold solves.
+    """One record per regularization value from a warm chain of cross solves.
 
     The records carry the sup distance of the normalized potentials to their
     infinite-regularization limits. Every row, the terminal epsilon = inf
-    one included, is one cross solve and two self solves. The epsilon = inf
-    row runs first, as its cross solve gives the limits (its own distances
-    are 0 and it takes 0 iterations), and is emitted last. Non-converged
+    one included, is one cross solve and two cold self solves. The rows run
+    over [inf, eps_max, ..., eps_min], each cross solve starting from the
+    previous row's psi; the epsilon = inf row runs first, as its cross solve
+    gives the limits (its own distances are 0 and it takes 0 iterations).
+    A row's iterations count the turns of its warm cross solve. Records are
+    returned in ascending epsilon, the epsilon = inf one last. Non-converged
     solves are flagged per record and the sweep continues.
     """
     eps_values = sweep_epsilons(epsilons)
     template = cfg if cfg is not None else SinkhornConfig(epsilon=1.0)
 
-    limits = None
+    limits = pair = None
     records = []
-    for eps in [math.inf, *eps_values]:
+    for eps in [math.inf, *eps_values[::-1]]:
         cfg_eps = replace(template, epsilon=float(eps))
-        cross = solve(cost, mu, nu, cfg_eps)
+        cross = solve(cost, mu, nu, cfg_eps, psi0=None if pair is None else pair.psi)
         pair = cross.potentials
         # the first row's cross solve, at epsilon = inf, gives the limits
         limits = limits or pair
@@ -154,7 +157,7 @@ def epsilon_sweep(
             phi_dist_to_inf=float(np.max(np.abs(pair.phi - limits.phi))),
             psi_dist_to_inf=float(np.max(np.abs(pair.psi - limits.psi))),
             iterations=iterations, converged=div.converged))
-    return records[1:] + records[:1]
+    return records[:0:-1] + records[:1]
 
 
 def _term(cost, mu, nu, cfg) -> tuple[float, bool]:

@@ -265,10 +265,6 @@ class _RadialFunction:
     def _profile_deriv(self, r):
         raise NotImplementedError
 
-    def params(self) -> dict:
-        """Constructor parameters, as in the JSON spec."""
-        return {}
-
     def _lipschitz_bound(self) -> float:
         r = np.linspace(0.0, self.box.diameter, _LIPSCHITZ_GRID)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -289,12 +285,6 @@ class _RadialFunction:
         """Matrix of evaluations, row-major over xs (outer) and ys (inner)."""
         return _by_row_blocks(self._gram_block, xs, ys)
 
-    def grad_y(self, x, y) -> np.ndarray:
-        """Gradient in the second argument at a single pair."""
-        x = np.asarray(x, dtype=float).ravel()
-        y = np.asarray(y, dtype=float).ravel()
-        return self.pairwise_grad_y(x[None, :], y[None, :])[0, 0]
-
     def _grad_scale(self, r: np.ndarray) -> np.ndarray:
         """h'(r)/r, the gradient's factor on y - x, taken as 0 at r = 0.
 
@@ -309,7 +299,11 @@ class _RadialFunction:
             return np.where(zero, 0.0, self._profile_deriv(r) / np.where(zero, 1.0, r))
 
     def pairwise_grad_y(self, xs, ys) -> np.ndarray:
-        """(n, m, d) array of gradients in the second argument for all pairs."""
+        """(n, m, d) array of gradients in the second argument for all pairs.
+
+        The package itself contracts gradients with plan_grad_y; this array
+        form stays on the three classes that perfbench/spans.py wraps.
+        """
         xs = _as_points(xs)
         ys = _as_points(ys)
         scale = self._grad_scale(pairwise_distances(xs, ys))
@@ -363,8 +357,6 @@ def _plan_contraction(xs: np.ndarray, ys: np.ndarray, scale: np.ndarray, plan) -
 class Kernel(_RadialFunction):
     """Symmetric kernel with Lipschitz metadata."""
 
-    variant = "Kernel"
-
 
 class Gaussian(Kernel):
     """K(x, y) = exp(-||x-y||^2 / c^2), strictly positive definite.
@@ -373,8 +365,6 @@ class Gaussian(Kernel):
     derivative form there, s / c^2 up to diam^2 / c^2, 2 r / c^2 up to
     2 diam / c^2 and h'(r)/r = -2 h / c^2 up to 2 / c^2, is finite.
     """
-
-    variant = "Gaussian"
 
     def __init__(self, box: BoundingBox, c: float = 1.0):
         self.c = _positive("Gaussian", "c", c, squared=True)
@@ -395,14 +385,9 @@ class Gaussian(Kernel):
         # h'(r)/r = -2 h / c^2
         return values * (-2.0 / (self.c * self.c))
 
-    def params(self):
-        return {"c": self.c}
-
 
 class InverseMultiquadric(Kernel):
     """K(x, y) = (c^2 + ||x-y||^2)^(-p), strictly positive definite."""
-
-    variant = "InverseMultiquadric"
 
     def __init__(self, box: BoundingBox, c: float = 1.0, p: float = 0.5):
         self.c = _positive("InverseMultiquadric", "c", c, squared=True)
@@ -422,14 +407,10 @@ class InverseMultiquadric(Kernel):
     def _profile_deriv(self, r):
         return -2.0 * self.p * r * (self.c * self.c + r * r) ** (-self.p - 1.0)
 
-    def params(self):
-        return {"c": self.c, "p": self.p}
-
 
 class WendlandPower(Kernel):
     """K(x, y) = (1 - ||x-y||)_+^p, positive definite for p >= floor(d/2) + 1."""
 
-    variant = "WendlandPower"
     smooth_at_zero = False
 
     def __init__(self, box: BoundingBox, p: float):
@@ -448,14 +429,10 @@ class WendlandPower(Kernel):
         # the 0**0 = 1 convention would leak outside the support for p = 1
         return np.where(r < 1.0, -self.p * np.maximum(1.0 - r, 0.0) ** (self.p - 1.0), 0.0)
 
-    def params(self):
-        return {"p": self.p}
-
 
 class NegativeDistance(Kernel):
     """K(x, y) = -||x-y||, conditionally positive definite of order 1."""
 
-    variant = "NegativeDistance"
     smooth_at_zero = False
 
     def _profile(self, s):
@@ -473,7 +450,6 @@ class ShiftedNegativeDistance(Kernel):
     cancels in discrepancies, so C only affects numerical conditioning.
     """
 
-    variant = "ShiftedNegativeDistance"
     smooth_at_zero = False
 
     def __init__(self, box: BoundingBox, C: float | None = None):
@@ -492,14 +468,9 @@ class ShiftedNegativeDistance(Kernel):
     def _profile_deriv(self, r):
         return -np.ones_like(np.asarray(r, dtype=float))
 
-    def params(self):
-        return {"C": self.C}
-
 
 class SmoothedNegativeDistance(Kernel):
     """K(x, y) = -sqrt(c^2 + ||x-y||^2), a differentiable order-1 cpd distance kernel."""
-
-    variant = "SmoothedNegativeDistance"
 
     def __init__(self, box: BoundingBox, c: float = 1e-2):
         self.c = _positive("SmoothedNegativeDistance", "c", c, squared=True)
@@ -517,9 +488,6 @@ class SmoothedNegativeDistance(Kernel):
         # h'(r)/r = -1/sqrt(c^2 + r^2) = 1/h, and |h| >= c > 0
         return np.reciprocal(values)
 
-    def params(self):
-        return {"c": self.c}
-
 
 class CpdShifted(Kernel):
     """Anchor shift K~(x, y) = K(x, y) - K(u, y) - K(x, u) + K(u, u).
@@ -527,8 +495,6 @@ class CpdShifted(Kernel):
     Turns an order-1 conditionally positive definite kernel into a positive
     definite one without changing discrepancies between probability measures.
     """
-
-    variant = "CpdShifted"
 
     def __init__(self, base: Kernel, anchor):
         self.base = base
@@ -577,12 +543,6 @@ class CpdShifted(Kernel):
         sums = plan.sum(axis=0)[None, :]
         return self.base.plan_grad_y(xs, ys, plan) - self.base.plan_grad_y(u, ys, sums)
 
-    def params(self):
-        return {
-            "base": {"variant": self.base.variant, "params": self.base.params()},
-            "anchor": self.anchor.tolist(),
-        }
-
 
 class SpectralKernel(Kernel):
     """Kernel on the 1-torus [0, 1) defined by Fourier coefficients.
@@ -591,8 +551,6 @@ class SpectralKernel(Kernel):
     are given for k = 0..N with the symmetric completion alpha_{-k} = alpha_k
     implied. Non-negative alphas make the kernel positive definite.
     """
-
-    variant = "SpectralKernel"
 
     def __init__(self, alpha, box: BoundingBox | None = None):
         a = np.array(alpha, dtype=float)
@@ -638,9 +596,6 @@ class SpectralKernel(Kernel):
             out = out - 4.0 * np.pi * k * self.alpha[k] * np.sin(2.0 * np.pi * k * r)
         return out
 
-    def params(self):
-        return {"alpha": self.alpha.tolist()}
-
 
 def empirical_pd_check(kernel: Kernel, n: int, seed: int, box: BoundingBox | None = None) -> float:
     """Smallest eigenvalue of the Gram matrix on n seeded uniform points."""
@@ -659,8 +614,6 @@ def empirical_pd_check(kernel: Kernel, n: int, seed: int, box: BoundingBox | Non
 class Cost(_RadialFunction):
     """Symmetric transport cost with Lipschitz metadata."""
 
-    variant = "Cost"
-
     def matrix(self, xs, ys) -> np.ndarray:
         return self.gram(xs, ys)
 
@@ -668,7 +621,6 @@ class Cost(_RadialFunction):
 class AbsDistance(Cost):
     """c(x, y) = ||x-y||."""
 
-    variant = "AbsDistance"
     smooth_at_zero = False
 
     def _profile(self, s):
@@ -680,8 +632,6 @@ class AbsDistance(Cost):
 
 class PowerDistance(Cost):
     """c(x, y) = ||x-y||^p."""
-
-    variant = "PowerDistance"
 
     def __init__(self, box: BoundingBox, p: float):
         self.p = _positive("PowerDistance", "p", p)
@@ -698,14 +648,9 @@ class PowerDistance(Cost):
         with np.errstate(divide="ignore", invalid="ignore"):
             return self.p * np.asarray(r, dtype=float) ** (self.p - 1.0)
 
-    def params(self):
-        return {"p": self.p}
-
 
 class NegatedKernel(Cost):
     """Cost c(x, y) = -K(x, y); may take negative values."""
-
-    variant = "NegatedKernel"
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
@@ -733,9 +678,6 @@ class NegatedKernel(Cost):
             return -self.kernel.plan_grad_y(xs, ys, plan)
         return _plan_contraction(_as_points(xs), _as_points(ys), weights, plan)
 
-    def params(self):
-        return {"kernel": {"variant": self.kernel.variant, "params": self.kernel.params()}}
-
 
 def kernel_for_cost(cost: Cost) -> Kernel:
     """Kernel K with c = -K, when the cost is kernel-backed.
@@ -747,7 +689,7 @@ def kernel_for_cost(cost: Cost) -> Kernel:
         return cost.kernel
     if isinstance(cost, AbsDistance) or (isinstance(cost, PowerDistance) and cost.p == 1.0):
         return NegativeDistance(cost.box)
-    raise NotNegatedKernelError(f"cost {cost.variant} is not of the form -K")
+    raise NotNegatedKernelError(f"cost {type(cost).__name__} is not of the form -K")
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,16 @@ def test_sweep_csv_format(tmp_path, toy_sweep):
     assert len(lines) == 27
     assert lines[-1].startswith("inf,")
 
+def test_sweep_warm_chain_converges_every_row(unit_square):
+    # the first pair of perfbench's sweep_small at seed 21; solved cold, its
+    # cross terms at epsilon = 1e-4 and 2e-4 end at max_iter
+    rng = np.random.default_rng(21)
+    mu, nu = (DiscreteMeasure.normalized(rng.random((20, 2)), rng.random(20) + 0.1)
+              for _ in range(2))
+    records = epsilon_sweep(AbsDistance(unit_square), mu, nu)
+    assert [r.epsilon for r in records[:-1]] == list(DEFAULT_EPSILONS)
+    assert [r.epsilon for r in records if not r.converged] == []
+
 def test_sweep_rejects_unsorted_grid(unit_box):
     mu = dirac([0.1])
     nu = dirac([0.9])

@@ -29,6 +29,7 @@ from sinkdiv import (
     solve,
 )
 from sinkdiv.dither import DitherConfig, gradient
+from sinkdiv.divergence import DEFAULT_EPSILONS
 from sinkdiv.kernels import pairwise_distances, squared_distances
 from sinkdiv.sinkhorn import _is_self_problem
 
@@ -224,6 +225,53 @@ def test_dithering_gradient_follows_the_order_of_the_atoms(problem, eps, data):
     target_order = data.draw(st.permutations(range(len(target))))
     moved = gradient(cfg, permuted(target, target_order), points)
     assert np.max(np.abs(moved - grad)) <= tol
+
+
+# ---------------------------------------------------------------------------
+# epsilon -> 0: the potentials reach the LP's
+# ---------------------------------------------------------------------------
+
+def _first_order_spread(mu, nu, plan) -> float:
+    """osc(h) for h_i + g_j = log(P_ij / (mu_i nu_j)) on the plan's support.
+
+    On a spanning-tree support, phi_eps - phi_LP = eps h + o(eps) up to a
+    constant, since P_ij = mu_i nu_j exp((phi_i + psi_j - c_ij) / eps) on
+    every edge; the system has one solution up to that constant.
+    """
+    rows, cols = np.nonzero(plan > 0)
+    edges = np.arange(rows.size)
+    incidence = np.zeros((rows.size, len(mu) + len(nu)))
+    incidence[edges, rows] = incidence[edges, len(mu) + cols] = 1.0
+    logs = np.log(plan[rows, cols] / (mu.weights[rows] * nu.weights[cols]))
+    h = np.linalg.lstsq(incidence, logs, rcond=None)[0][:len(mu)]
+    return float(np.ptp(h))
+
+
+def test_potentials_converge_to_the_lp_potential_as_epsilon_falls():
+    # a warm chain down the sweep grid; the LP's phi is unique up to a
+    # constant when its plan's support is a spanning tree (n + m - 1 entries)
+    cost = COSTS[2, "abs"]
+    kept = 0
+    for seed in range(1, 7):
+        rng = np.random.default_rng(seed)
+        mu, nu = (DiscreteMeasure.normalized(rng.random((20, 2)), rng.random(20) + 0.1)
+                  for _ in range(2))
+        lp = exact_ot(cost, mu, nu)
+        if np.count_nonzero(lp.plan.matrix > 0) != 39:
+            continue
+        kept += 1
+        spread, psi = {}, None
+        for eps in DEFAULT_EPSILONS[::-1]:
+            sol = solve(cost, mu, nu, SinkhornConfig(epsilon=float(eps)), psi0=psi)
+            assert sol.converged, (seed, eps)
+            psi = sol.potentials.psi
+            spread[eps] = float(np.ptp(sol.potentials.phi - lp.phi))
+        lower = [spread[eps] for eps in DEFAULT_EPSILONS[:13]]
+        assert all(a <= b for a, b in zip(lower, lower[1:])), seed
+        # the first-order rate: osc = eps osc(h) + o(eps) at the grid's end
+        rate = lower[0] / DEFAULT_EPSILONS[0]
+        assert rate == pytest.approx(_first_order_spread(mu, nu, lp.plan.matrix), rel=0.1), seed
+    assert kept > 0
 
 
 # ---------------------------------------------------------------------------
